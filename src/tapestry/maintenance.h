@@ -91,15 +91,18 @@ class MaintenanceEngine final : public RepairHandler {
   void leave_bulk(const std::vector<NodeId>& victims, std::size_t workers = 0,
                   Trace* trace = nullptr);
   /// Thread-parallel fail-stop plus eager repair (§5.2 on real threads):
-  /// all victims stop at once, then every backpointer holder is purged in
-  /// parallel (slot removal, complete replacement hunt, in-wave reroute)
-  /// and a threaded sweep restores Property 1 — locatability is back the
-  /// moment the call returns, without republishing.
+  /// all victims stop at once, then every live backpointer holder probes
+  /// its victim once and is purged in parallel (slot removal, complete
+  /// replacement hunt, in-wave reroute).  The wave touches only the
+  /// victims' holders, yet Property 1 holds and locatability is back the
+  /// moment the call returns, without republishing (threaded_repair.h).
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr);
   /// heartbeat_sweep fanned out across `workers` real threads (one per
-  /// node, striped locks).  Membership must be quiescent; guarded store
-  /// racers (publish batches, expiry sweeps, peeked queries) are fine.
+  /// node, striped locks) — the repair for unannounced fail() corpses,
+  /// which no holder walk covers.  Membership must be quiescent; guarded
+  /// store racers (publish batches, expiry sweeps, peeked queries) are
+  /// fine.
   void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr);
   /// Soft-state heartbeat maintenance (§5.2, §6.5): probe table entries,
   /// purge corpses, then hunt replacements for emptied slots to fixpoint.

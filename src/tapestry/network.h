@@ -140,15 +140,17 @@ class Network {
   }
 
   /// Thread-parallel fail-stop plus eager §5.2 repair: victims stop at
-  /// once, holders purge in parallel, a threaded sweep restores Property 1
-  /// and objects stay locatable without a republish.
+  /// once and their holders probe and purge them in parallel; the wave
+  /// touches only those holders, restores Property 1 and keeps objects
+  /// locatable without a republish.
   void fail_and_repair_bulk(const std::vector<NodeId>& victims,
                             std::size_t workers = 0, Trace* trace = nullptr) {
     maintenance_.fail_and_repair_bulk(victims, workers, trace);
   }
 
-  /// heartbeat_sweep across `workers` real threads (membership must be
-  /// quiescent; guarded store racers are fine).
+  /// heartbeat_sweep across `workers` real threads, for corpses left by
+  /// plain fail() (membership must be quiescent; guarded store racers are
+  /// fine).
   void heartbeat_sweep_bulk(std::size_t workers = 0, Trace* trace = nullptr) {
     maintenance_.heartbeat_sweep_bulk(workers, trace);
   }

@@ -1,5 +1,7 @@
 #include "src/tapestry/registry.h"
 
+#include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/sim/metrics.h"
@@ -196,6 +198,22 @@ void NodeRegistry::register_bulk(
       },
       workers);
   live_count_.fetch_add(batch.size(), std::memory_order_relaxed);
+}
+
+void NodeRegistry::reorder_tail(const std::vector<NodeId>& order) {
+  std::unordered_map<std::uint64_t, std::size_t> rank;
+  rank.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) rank[order[i].value()] = i;
+  std::lock_guard<std::mutex> lock(nodes_mu_);
+  TAP_CHECK(rank.size() == order.size() && order.size() <= nodes_.size(),
+            "reorder_tail needs distinct ids, at most one per registration");
+  const auto tail = nodes_.end() - static_cast<std::ptrdiff_t>(order.size());
+  for (auto it = tail; it != nodes_.end(); ++it)
+    TAP_CHECK(rank.count((*it)->id().value()) != 0,
+              "reorder_tail: the trailing registrations are not `order`");
+  std::sort(tail, nodes_.end(), [&](const auto& a, const auto& b) {
+    return rank.at(a->id().value()) < rank.at(b->id().value());
+  });
 }
 
 void NodeRegistry::mark_dead(TapestryNode& node) {

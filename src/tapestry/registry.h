@@ -21,8 +21,8 @@
 // doubling growth).  Deletions never happen — dead nodes are tombstones by
 // design — which is what makes the scheme this simple.
 //
-// The insertion-order nodes() vector is append-only under its own mutex;
-// iterating it concurrently with registration is the one operation that
+// The insertion-order nodes() vector is append-only under its own mutex
+// (reorder_tail only permutes a settled join wave's entries); iterating it concurrently with registration is the one operation that
 // still requires quiescence (every current caller is a whole-network
 // oracle/invariant pass that owns the simulator at that point).
 #pragma once
@@ -84,6 +84,12 @@ class NodeRegistry {
   /// readers may observe any prefix of the batch while it lands.
   void register_bulk(const std::vector<std::pair<NodeId, Location>>& batch,
                      std::size_t workers = 0);
+  /// Puts the last `order.size()` registrations — which must be exactly the
+  /// nodes `order` names — into the order of `order`.  Thread-parallel
+  /// join waves register from worker threads in completion order; calling
+  /// this once the wave has settled keeps insertion order, and with it
+  /// node_ids(), a function of the request order alone.
+  void reorder_tail(const std::vector<NodeId>& order);
   /// Marks an alive node dead (tombstone); the caller owns protocol duties.
   void mark_dead(TapestryNode& node);
 

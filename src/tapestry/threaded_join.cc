@@ -51,12 +51,19 @@ std::vector<ThreadedJoinDriver::Outcome> ThreadedJoinDriver::run(
 
   std::vector<Outcome> out;
   out.reserve(sessions_.size());
+  std::vector<NodeId> joined;
+  joined.reserve(sessions_.size());
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     TAP_CHECK(sessions_[i].done, "a threaded join never completed");
     TAP_CHECK(sessions_[i].pinned_at.empty(),
               "a threaded join left pinned pointers behind");
     out.push_back(outcomes_[i]);
+    joined.push_back(sessions_[i].nn);
   }
+  // Workers registered in completion order; restore request order so the
+  // registry's insertion order (node_ids(), and every draw indexed into
+  // it) is part of the determinism contract too.
+  reg_.reorder_tail(joined);
   return out;
 }
 

@@ -24,8 +24,10 @@
 // backpointers mirror exactly at quiescence.
 //
 // Determinism contract: node ids and gateways are drawn serially before
-// any thread starts, so same seed + any worker count produces the same
-// membership — and therefore the same Property 1 occupancy pattern — while
+// any thread starts, and run() puts the wave's registrations back into
+// request order once the workers finish, so same seed + any worker count
+// produces the same membership in the same node_ids() order — and
+// therefore the same Property 1 occupancy pattern — while
 // message orderings (and hence which of several equally valid neighbors a
 // slot holds) may differ run to run.  Convergence is asserted on
 // invariants (no lost pins, all watched holes resolved, surrogate

@@ -86,7 +86,7 @@ void ThreadedRepairDriver::run_leave(const std::vector<NodeId>& victims,
       sessions.size(), [&](std::size_t i) { leave_one(sessions[i]); },
       workers);
 
-  finish_wave(workers, trace, &sessions);
+  finish_wave(sessions, trace);
 }
 
 void ThreadedRepairDriver::leave_one(Session& s) {
@@ -185,13 +185,19 @@ void ThreadedRepairDriver::run_fail(const std::vector<NodeId>& victims,
       sessions.size(), [&](std::size_t i) { fail_one(sessions[i]); },
       workers);
 
-  finish_wave(workers, trace, &sessions);
+  finish_wave(sessions, trace);
 }
 
 void ThreadedRepairDriver::fail_one(Session& s) {
+  const TapestryNode& dead = reg_.checked(s.victim);
   for (const NodeId& holder : s.holders[0]) {
     TapestryNode* bp = reg_.find(holder);
     if (bp == nullptr || !bp->alive) continue;
+    // The holder's detection cost: one heartbeat probe that goes
+    // unanswered (no ack — the victim is dead), then the purge.
+    (void)router_.transport().deliver(make_message(
+        MessageKind::kHeartbeatProbe, holder, s.victim, s.victim));
+    reg_.acct(&s.trace, *bp, dead, 1);
     purge_holder(*bp, s.victim, &s.trace);
   }
 }
@@ -382,16 +388,16 @@ void ThreadedRepairDriver::run_sweep(std::size_t workers, Trace* trace) {
   }
 }
 
-void ThreadedRepairDriver::finish_wave(std::size_t workers, Trace* trace,
-                                       std::vector<Session>* sessions) {
+void ThreadedRepairDriver::finish_wave(const std::vector<Session>& sessions,
+                                       Trace* trace) {
   // Merge per-victim traces in request order (deterministic counters up to
   // scheduling-dependent repair overlap; invariants never depend on them).
-  if (sessions != nullptr && trace != nullptr)
-    for (const Session& s : *sessions) trace->absorb(s.trace);
-  // Quiesce Property 1 across the whole mesh, then close the one §4.2
-  // window threads open that serial execution cannot (threaded_repair.h):
+  if (trace != nullptr)
+    for (const Session& s : sessions) trace->absorb(s.trace);
+  // Property 1 already holds: the holders repaired every slot a victim
+  // vacated, and no other slot changed (threaded_repair.h).  What remains
+  // is the one §4.2 window threads open that serial execution cannot:
   // records deposited on a holder after that holder's snapshot was taken.
-  run_sweep(workers, trace);
   dir_.repair_pointer_chains(trace);
 }
 

@@ -6,9 +6,26 @@
 // Each worker thread drives the complete repair protocol for one victim —
 // for a leave: the LEAVINGNETWORK notifications to every backpointer
 // holder with replacement hints, the holders' slot repair, and the final
-// REMOVELINK retraction; for a failure: the proactive purge every holder
-// would otherwise perform lazily — racing every other victim's repair
-// through the shared striped primitives (striped_links.h).
+// REMOVELINK retraction; for a failure: one unanswered heartbeat probe
+// from each holder, then the purge every holder would otherwise perform
+// lazily — racing every other victim's repair through the shared striped
+// primitives (striped_links.h).
+//
+// Repair waves are wave-local, as in the paper: a wave costs work in
+// proportion to the victims' holder sets, never a pass over the whole
+// mesh.  Given Property 1 and backpointer symmetry before the wave,
+// Property 1 at quiescence rests on this argument:
+//   - victims are marked dead before any thread starts, so no slot ever
+//     gains one (every link source filters on liveness);
+//   - backpointer symmetry makes the captured holder lists name every live
+//     node whose table names a victim;
+//   - each holder re-checks every slot it unlinked a victim from and, if
+//     the slot is empty, runs the complete prefix-range find_replacement
+//     over a live set that is fixed for the wave;
+//   - a node outside every holder set lost no entry, and the live set only
+//     shrank, so its empty slots still have no candidate.
+// Unannounced corpses (fail() without repair) have no such holder walk;
+// run_sweep / heartbeat_sweep_bulk is the tool for them.
 //
 // §4.2 pointer rerouting happens *incrementally inside the wave*: around
 // each holder's table mutations the holder's pointer hops are snapshotted
@@ -27,8 +44,8 @@
 // the replacement search is *complete* (local peers first, then a
 // prefix-range probe of the live-id index standing in for the serial
 // path's acknowledged multicast — same candidate set, same (distance, id)
-// winner), so at quiescence a slot is occupied iff a live candidate
-// exists, making the Property 1 occupancy fingerprint
+// winner), so by the argument above a slot is occupied at quiescence iff
+// a live candidate exists, making the Property 1 occupancy fingerprint
 // (fingerprint_occupancy) a function of membership alone.  Message
 // orderings — and which of several equally good neighbors a slot holds —
 // may differ run to run; convergence is asserted on invariants.
@@ -57,16 +74,18 @@ class ThreadedRepairDriver {
   /// the victims' replicas, mark all victims dead (so hints and holder
   /// lists never name a co-departing node), capture per-victim hint and
   /// holder lists.  Parallel phase: per-victim holder repair with in-wave
-  /// rerouting, then REMOVELINK.  Ends with a threaded sweep plus the
-  /// quiescent chain-repair pass.
+  /// rerouting, then REMOVELINK.  Ends with the quiescent chain-repair
+  /// pass (finish_wave); no heartbeat traffic is sent — leavers announce
+  /// themselves.
   void run_leave(const std::vector<NodeId>& victims, std::size_t workers,
                  Trace* trace);
 
   /// Fail-stop (§5.2) of every victim followed by the full repair a lazy
   /// system would perform over time: all victims are marked dead serially,
-  /// then every backpointer holder of each victim is purged in parallel
-  /// (slot removal, replacement hunt, in-wave reroute), then the threaded
-  /// sweep restores Property 1 and the chain-repair pass restores
+  /// then every live backpointer holder of each victim probes it once (one
+  /// kHeartbeatProbe, never acked) and is purged in parallel (slot
+  /// removal, replacement hunt, in-wave reroute); Property 1 then holds by
+  /// the wave-local argument above, and the chain-repair pass restores
   /// locatability — no republish involved.
   void run_fail(const std::vector<NodeId>& victims, std::size_t workers,
                 Trace* trace);
@@ -101,8 +120,10 @@ class ThreadedRepairDriver {
   void index_live_nodes();
   /// One probe-and-fill pass for one node; true when anything changed.
   bool sweep_node(TapestryNode& n, Trace* trace);
-  void finish_wave(std::size_t workers, Trace* trace,
-                   std::vector<Session>* sessions);
+  /// Merges the per-victim traces, then runs the quiescent
+  /// ObjectDirectory::repair_pointer_chains pass.  No sweep: Property 1
+  /// already holds once the holders finish (see the file comment).
+  void finish_wave(const std::vector<Session>& sessions, Trace* trace);
 
   NodeRegistry& reg_;
   Router& router_;

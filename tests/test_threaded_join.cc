@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/sim/churn_driver.h"
 #include "src/tapestry/fingerprint.h"
 #include "src/tapestry/threaded_join.h"
 #include "test_util.h"
@@ -99,6 +100,60 @@ TEST(ThreadedJoin, WaveConvergesForEveryWorkerCount) {
         << "membership must not depend on the worker count";
     EXPECT_EQ(occupancy_fp[0], occupancy_fp[i])
         << "occupancy pattern must not depend on the worker count";
+  }
+}
+
+TEST(ThreadedJoin, RegistrationOrderIsRequestOrder) {
+  // Workers register their joiners in completion order; the wave must
+  // still leave the registry's insertion order — and so node_ids(), which
+  // every victim draw indexes into — identical for every worker count.
+  std::vector<NodeId> reference;
+  for (const std::size_t workers : {1u, 4u, 4u, 4u}) {
+    auto g = static_ring_network(96, 226);
+    const auto joined = g.net->join_bulk(wave_requests(96, 32), workers);
+    const auto ids = g.net->node_ids();
+    ASSERT_EQ(ids.size(), 96u + 32u);
+    EXPECT_TRUE(std::equal(joined.begin(), joined.end(), ids.end() - 32))
+        << "the wave's registrations must follow request order (workers="
+        << workers << ")";
+    if (reference.empty())
+      reference = ids;
+    else
+      EXPECT_EQ(reference, ids)
+          << "node_ids() sequence depends on the worker count (workers="
+          << workers << ")";
+  }
+}
+
+TEST(ThreadedJoin, ChurnSoakFingerprintsMatchAcrossRuns) {
+  // The fully threaded soak draws its victims by index into node_ids(), so
+  // identical registration order is what makes same-seed soaks converge to
+  // one membership: three runs at 4 workers and one at 1 worker must agree.
+  TapestryParams p = small_params();
+  p.store_backend = StoreBackend::kSharded;
+  ThreadedChurnScenario sc;
+  sc.rounds = 4;
+  sc.joins_per_round = 8;
+  sc.fails_per_round = 4;
+  sc.leaves_per_round = 4;
+  sc.min_nodes = 64;
+  sc.objects = 16;
+  sc.publishes_per_round = 4;
+  sc.seed = 227;
+  std::vector<ThreadedChurnReport> reports;
+  for (const std::size_t workers : {1u, 4u, 4u, 4u}) {
+    auto g = static_ring_network(128, 227, p);
+    sc.workers = workers;
+    ThreadedChurnSoak soak(*g.net, sc);
+    reports.push_back(soak.run());
+    EXPECT_TRUE(reports.back().converged()) << "workers=" << workers;
+    EXPECT_EQ(reports.back().availability(), 1.0) << "workers=" << workers;
+  }
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[0].membership_fp, reports[i].membership_fp)
+        << "run " << i;
+    EXPECT_EQ(reports[0].occupancy_fp, reports[i].occupancy_fp)
+        << "run " << i;
   }
 }
 

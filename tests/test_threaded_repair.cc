@@ -273,6 +273,66 @@ TEST(ThreadedRepair, LeaveKeepsObjectsLocatableOnGrownCore) {
            "locatability";
 }
 
+/// Heartbeat probes and acks delivered so far on `net`'s transport.
+std::pair<std::uint64_t, std::uint64_t> heartbeat_counts(const Network& net) {
+  const TransportStats& ts = net.transport().stats();
+  return {ts.kind_count(MessageKind::kHeartbeatProbe),
+          ts.kind_count(MessageKind::kHeartbeatAck)};
+}
+
+/// Occupancy of the serial reference for the same survivors: plain fail()
+/// on each victim, then the whole-mesh serial heartbeat sweep.
+std::uint64_t serial_reference_occupancy(std::size_t n, std::uint64_t seed,
+                                         const std::vector<NodeId>& victims) {
+  auto ref = static_ring_network(n, seed, sharded_params());
+  for (const NodeId& v : victims) ref.net->fail(v);
+  ref.net->heartbeat_sweep();
+  ref.net->check_property1();
+  return fingerprint_occupancy(*ref.net);
+}
+
+TEST(ThreadedRepair, WavesAreWaveLocal) {
+  // A wave pays only for its victims' holder sets, never for a sweep of
+  // the rest of the mesh: a §5.1 leaver announces itself, so its wave
+  // sends no heartbeat traffic at all; a §5.2 fail wave pays for detection
+  // with one unanswered probe from every live holder of every victim.
+  // Either way the wave lands on the occupancy a whole-mesh sweep gives.
+  const std::uint64_t seed = 416;
+  for (const bool leave : {true, false}) {
+    auto probe = static_ring_network(128, seed, sharded_params());
+    const auto victims = pick_victims(probe.net->node_ids(), 20, 5);
+    const std::uint64_t reference =
+        serial_reference_occupancy(128, seed, victims);
+    std::set<std::uint64_t> doomed;
+    for (const NodeId& v : victims) doomed.insert(v.value());
+    std::uint64_t holders = 0;
+    for (const NodeId& v : victims)
+      for (const NodeId& h : probe.net->node(v).table().all_backpointers())
+        if (doomed.count(h.value()) == 0) ++holders;
+    ASSERT_GT(holders, 0u);
+
+    for (const std::size_t workers : {1u, 4u}) {
+      auto g = static_ring_network(128, seed, sharded_params());
+      const auto before = heartbeat_counts(*g.net);
+      if (leave)
+        g.net->leave_bulk(victims, workers);
+      else
+        g.net->fail_and_repair_bulk(victims, workers);
+      const auto after = heartbeat_counts(*g.net);
+      EXPECT_EQ(after.first - before.first, leave ? 0u : holders)
+          << "leave=" << leave << " workers=" << workers;
+      EXPECT_EQ(after.second - before.second, 0u)
+          << "leave=" << leave << " workers=" << workers;
+
+      g.net->check_property1();
+      g.net->check_backpointer_symmetry();
+      expect_no_pins(*g.net);
+      EXPECT_EQ(fingerprint_occupancy(*g.net), reference)
+          << "leave=" << leave << " workers=" << workers;
+    }
+  }
+}
+
 TEST(ThreadedRepair, HeartbeatSweepBulkRepairsUnannouncedFailures) {
   // Plain fail() marks corpses without repair; the threaded sweep must
   // then restore Property 1 and symmetry at any worker count, matching
