@@ -256,8 +256,9 @@ class Network {
     directory_.publish_async(server, guid, trace, std::move(done));
   }
 
-  /// Event-driven locate: one routing decision per event; `done` fires at
-  /// completion with the same LocateResult the synchronous path returns.
+  /// Event-driven locate: the event driver of locate()'s step, one
+  /// delivery per event; `done` fires at completion.  On a quiescent mesh
+  /// the LocateResult equals locate()'s field for field.
   void locate_async(NodeId client, const Guid& guid,
                     ObjectDirectory::LocateCallback done,
                     Trace* trace = nullptr) {

@@ -62,67 +62,144 @@ void ObjectDirectory::invalidate_node_cache(const NodeId& id) {
 // Publish / unpublish
 // ---------------------------------------------------------------------
 
-void ObjectDirectory::publish_one(TapestryNode& server, const Guid& salted,
-                                  Trace* trace) {
-  const double expires = events_.now() + params_.pointer_ttl;
-  RouteState state;
-  TapestryNode* cur = &server;
-  // The record a node deposits is exactly the payload of the publish
-  // message that arrived there (the server starts the chain locally);
-  // each hop re-derives it from the delivered copy.
-  PointerRecord arriving{server.id(), std::nullopt, 0, false, expires};
-  for (;;) {
-    cur->store().upsert(salted, arriving);
-    auto next = router_.route_step(*cur, salted, state, trace);
-    if (!next.has_value()) {  // cur is the root
-      if (replicator_)
-        replicator_->mirror_publish(*cur, salted, arriving, trace);
-      break;
-    }
-    // §2.4 PRR variant: also deposit on the secondaries of the slot being
-    // routed through ("equivalent to publishing on all the secondary
-    // neighbors"); queries under the same flag probe those secondaries.
-    if (params_.prr_secondary_search && state.level >= 1) {
-      const unsigned slot_level = state.level - 1;
-      const unsigned digit = next->digit(slot_level);
-      const auto members = cur->table().at(slot_level, digit).entries();
-      for (const auto& member : members) {
-        if (member.id == *next || member.id == cur->id()) continue;
-        TapestryNode* m = reg_.find(member.id);
-        if (m == nullptr || !m->alive) continue;
-        if (!reg_.reachable(cur->id(), member.id)) continue;
-        reg_.acct(trace, *cur, *m, 1);
-        m->store().upsert(salted,
-                          PointerRecord{server.id(), cur->id(), state.level,
-                                        state.past_hole, expires});
+// Publish and locate are each one per-node step run by two drivers (see
+// object_directory.h).  Only the event driver can deliver to a node that
+// died in the meantime, so the carrier checks (at the top of locate_step,
+// and before each deposit_hop in schedule_deposit) never fire inline.
+
+// One publish or unpublish walk toward one salted root (§2.2): the message
+// in flight and the node it is being delivered to.  Node pointers stay
+// valid for the registry's lifetime (dead nodes are tombstones).
+struct ObjectDirectory::PointerWalk {
+  Guid target{};
+  TapestryNode* cur = nullptr;
+  RouteState state{};
+  // The record a node deposits is exactly the payload of the message that
+  // arrived there (the server starts the chain locally).
+  PointerRecord rec{};
+  bool withdraw = false;  ///< unpublish: drop rec.server's pointer instead
+};
+
+struct ObjectDirectory::AsyncPublish {
+  NodeId server{};
+  Guid base{};
+  unsigned salt = 0;
+  PointerWalk walk{};
+  Trace cost{false};
+  Trace* external = nullptr;
+  PublishCallback done;
+};
+
+void ObjectDirectory::check_guid(const Guid& guid) const {
+  TAP_CHECK(guid.valid() && guid.spec() == params_.id,
+            "guid does not match the network's IdSpec");
+}
+
+void ObjectDirectory::register_replica(const NodeId& server,
+                                       const Guid& guid) {
+  auto& servers = replicas_[guid];
+  if (std::find(servers.begin(), servers.end(), server) == servers.end())
+    servers.push_back(server);
+}
+
+PointerRecord ObjectDirectory::forward_pointer(
+    MessageKind kind, const TapestryNode& from, const TapestryNode& to,
+    const Guid& target, const NodeId& server, const RouteState& state,
+    double expires, Trace* trace) {
+  Message m = make_message(kind, from.id(), to.id(), target);
+  m.server = server;
+  m.last_hop = from.id();
+  m.level = state.level;
+  m.flag = state.past_hole;
+  m.expires_at = expires;
+  m = transport_->deliver(m);
+  reg_.acct(trace, from, to);
+  return PointerRecord{m.server, m.last_hop, m.level, m.flag, m.expires_at};
+}
+
+std::vector<TapestryNode*> ObjectDirectory::secondaries(
+    const TapestryNode& cur, unsigned slot_level, const NodeId& next,
+    bool live_only) const {
+  std::vector<TapestryNode*> out;
+  for (const auto& member :
+       cur.table().at(slot_level, next.digit(slot_level)).entries()) {
+    if (member.id == next || member.id == cur.id()) continue;
+    TapestryNode* m = reg_.find(member.id);
+    if (m == nullptr) continue;
+    if (live_only && (!m->alive || !reg_.reachable(cur.id(), member.id)))
+      continue;
+    out.push_back(m);
+  }
+  return out;
+}
+
+ObjectDirectory::PointerWalk ObjectDirectory::start_walk(
+    TapestryNode& server, const Guid& salted, bool withdraw) const {
+  return PointerWalk{salted, &server, RouteState{},
+                     PointerRecord{server.id(), std::nullopt, 0, false,
+                                   events_.now() + params_.pointer_ttl},
+                     withdraw};
+}
+
+std::optional<double> ObjectDirectory::deposit_hop(PointerWalk& w,
+                                                   Trace* trace) {
+  TapestryNode& cur = *w.cur;
+  if (w.withdraw) {
+    cur.store().remove(w.target, w.rec.server);
+  } else {
+    cur.store().upsert(w.target, w.rec);
+  }
+  const auto next = router_.route_step(cur, w.target, w.state, trace);
+  if (!next.has_value()) {  // cur is the root
+    if (replicator_ != nullptr) {
+      if (w.withdraw) {
+        replicator_->mirror_remove(cur, w.target, w.rec.server, trace);
+      } else {
+        replicator_->mirror_publish(cur, w.target, w.rec, trace);
       }
     }
-    TapestryNode& nxt = reg_.live(*next);
-    Message m = make_message(MessageKind::kPublishDeposit, cur->id(),
-                             nxt.id(), salted);
-    m.server = server.id();
-    m.last_hop = cur->id();
-    m.level = state.level;
-    m.flag = state.past_hole;
-    m.expires_at = expires;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *cur, nxt);
-    arriving = PointerRecord{m.server, m.last_hop, m.level, m.flag,
-                             m.expires_at};
-    cur = &nxt;
+    return std::nullopt;
+  }
+  // §2.4 PRR variant: also deposit on the secondaries of the slot being
+  // routed through ("equivalent to publishing on all the secondary
+  // neighbors"); queries under the same flag probe those secondaries.  A
+  // withdrawal reaches every copy, even on members a deposit would skip.
+  if (params_.prr_secondary_search && w.state.level >= 1) {
+    for (TapestryNode* m :
+         secondaries(cur, w.state.level - 1, *next, !w.withdraw)) {
+      reg_.acct(trace, cur, *m, 1);
+      if (w.withdraw) {
+        m->store().remove(w.target, w.rec.server);
+      } else {
+        m->store().upsert(w.target,
+                          PointerRecord{w.rec.server, cur.id(), w.state.level,
+                                        w.state.past_hole, w.rec.expires_at});
+      }
+    }
+  }
+  TapestryNode& nxt = reg_.live(*next);
+  w.rec = forward_pointer(
+      w.withdraw ? MessageKind::kUnpublish : MessageKind::kPublishDeposit,
+      cur, nxt, w.target, w.rec.server, w.state, w.rec.expires_at, trace);
+  w.cur = &nxt;
+  return hop_delay(cur, nxt);
+}
+
+void ObjectDirectory::walk_all_roots(TapestryNode& server, const Guid& guid,
+                                     bool withdraw, Trace* trace) {
+  for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt) {
+    PointerWalk w = start_walk(server, salted_guid(guid, salt), withdraw);
+    while (deposit_hop(w, trace).has_value()) {
+    }
   }
 }
 
 void ObjectDirectory::publish(NodeId server, const Guid& guid, Trace* trace) {
   TapestryNode& s = reg_.live(server);
-  TAP_CHECK(guid.valid() && guid.spec() == params_.id,
-            "guid does not match the network's IdSpec");
+  check_guid(guid);
   metrics::publish_total().inc();
-  for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt)
-    publish_one(s, salted_guid(guid, salt), trace);
-  auto& servers = replicas_[guid];
-  if (std::find(servers.begin(), servers.end(), server) == servers.end())
-    servers.push_back(server);
+  walk_all_roots(s, guid, /*withdraw=*/false, trace);
+  register_replica(server, guid);
 }
 
 void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
@@ -143,12 +220,9 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
 
   // Phase 0 (serial): validate and register every replica in batch order.
   for (const PublishRequest& r : batch) {
-    TAP_CHECK(r.guid.valid() && r.guid.spec() == params_.id,
-              "guid does not match the network's IdSpec");
+    check_guid(r.guid);
     TAP_CHECK(reg_.is_live(r.server), "publish_batch: server must be alive");
-    auto& servers = replicas_[r.guid];
-    if (std::find(servers.begin(), servers.end(), r.server) == servers.end())
-      servers.push_back(r.server);
+    register_replica(r.server, r.guid);
   }
   const double expires = events_.now() + params_.pointer_ttl;
 
@@ -196,7 +270,7 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
           const Task& task = tasks[t];
           TapestryNode* cur = &reg_.live(task.server);
           RouteState state;
-          // As in publish_one: each deposit is the payload of the publish
+          // As in deposit_hop: each deposit is the payload of the publish
           // message that arrived at the depositing node.
           PointerRecord arriving{task.server, std::nullopt, 0, false,
                                  expires};
@@ -210,17 +284,9 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
             if (!next.has_value()) break;  // cur is the root
             TapestryNode* nxt = reg_.find(*next);
             TAP_ASSERT(nxt != nullptr);
-            Message m = make_message(MessageKind::kPublishDeposit, cur->id(),
-                                     nxt->id(), task.target);
-            m.server = task.server;
-            m.last_hop = cur->id();
-            m.level = state.level;
-            m.flag = state.past_hole;
-            m.expires_at = expires;
-            m = transport_->deliver(m);
-            reg_.acct(&task_traces[t], *cur, *nxt);
-            arriving = PointerRecord{m.server, m.last_hop, m.level, m.flag,
-                                     m.expires_at};
+            arriving = forward_pointer(MessageKind::kPublishDeposit, *cur,
+                                       *nxt, task.target, task.server, state,
+                                       expires, &task_traces[t]);
             cur = nxt;
           }
         }
@@ -261,56 +327,27 @@ void ObjectDirectory::publish_batch(const std::vector<PublishRequest>& batch,
       },
       workers);
 
+  // Phase 3 (serial): the quorum mirrors of each path's root deposit, in
+  // task order — the order the serial publish loop writes them.  Mirrors
+  // land in the holders' replica areas, which phase 2 never touches.
+  if (replicator_ != nullptr) {
+    for (std::size_t t = 0; t < n_tasks; ++t) {
+      const Deposit& root = deposits[t].back();
+      replicator_->mirror_publish(*root.at, tasks[t].target, root.rec,
+                                  &task_traces[t]);
+    }
+  }
+
   // Accounting lands in task order, independent of phase scheduling.
   if (trace != nullptr)
     for (const Trace& t : task_traces) trace->absorb(t);
-}
-
-void ObjectDirectory::unpublish_one(TapestryNode& server, const Guid& salted,
-                                    Trace* trace) {
-  RouteState state;
-  TapestryNode* cur = &server;
-  // The server named by the withdrawal rides the wire from hop to hop.
-  NodeId victim = server.id();
-  for (;;) {
-    cur->store().remove(salted, victim);
-    auto next = router_.route_step(*cur, salted, state, trace);
-    if (!next.has_value()) {  // cur is the root
-      if (replicator_) {
-        replicator_->mirror_remove(*cur, salted, victim, trace);
-      }
-      break;
-    }
-    if (params_.prr_secondary_search && state.level >= 1) {
-      // Withdraw the secondary-deposited copies symmetrically.
-      const unsigned slot_level = state.level - 1;
-      const unsigned digit = next->digit(slot_level);
-      const auto members = cur->table().at(slot_level, digit).entries();
-      for (const auto& member : members) {
-        if (member.id == *next || member.id == cur->id()) continue;
-        if (TapestryNode* m = reg_.find(member.id); m != nullptr) {
-          reg_.acct(trace, *cur, *m, 1);
-          m->store().remove(salted, victim);
-        }
-      }
-    }
-    TapestryNode& nxt = reg_.live(*next);
-    Message m = make_message(MessageKind::kUnpublish, cur->id(), nxt.id(),
-                             salted);
-    m.server = victim;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *cur, nxt);
-    victim = m.server;
-    cur = &nxt;
-  }
 }
 
 void ObjectDirectory::unpublish(NodeId server, const Guid& guid,
                                 Trace* trace) {
   TapestryNode& s = reg_.checked(server);
   metrics::unpublish_total().inc();
-  for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt)
-    unpublish_one(s, salted_guid(guid, salt), trace);
+  walk_all_roots(s, guid, /*withdraw=*/true, trace);
   auto it = replicas_.find(guid);
   if (it != replicas_.end()) {
     auto& servers = it->second;
@@ -323,6 +360,53 @@ void ObjectDirectory::unpublish(NodeId server, const Guid& guid,
   // time.  (Verification would still keep the answers correct — this is
   // the eager half of the invalidation contract.)
   cache_.invalidate_object(guid);
+}
+
+void ObjectDirectory::publish_async(NodeId server, const Guid& guid,
+                                    Trace* trace, PublishCallback done) {
+  check_guid(guid);
+  TAP_CHECK(reg_.is_live(server), "publish_async: server must be alive");
+  metrics::publish_total().inc();
+  // The replica exists from this instant; the directory catches up hop by
+  // hop (queries racing the deposit may legitimately miss meanwhile).
+  register_replica(server, guid);
+  auto op = std::make_shared<AsyncPublish>();
+  op->server = server;
+  op->base = guid;
+  op->external = trace;
+  op->done = std::move(done);
+  ++in_flight_;
+  begin_publish_path(op);
+}
+
+void ObjectDirectory::begin_publish_path(
+    const std::shared_ptr<AsyncPublish>& op) {
+  if (op->salt >= params_.root_multiplicity || !reg_.is_live(op->server)) {
+    if (op->external != nullptr) op->external->absorb(op->cost);
+    --in_flight_;
+    if (op->done) op->done();
+    return;
+  }
+  op->walk = start_walk(reg_.live(op->server), salted_guid(op->base, op->salt),
+                        /*withdraw=*/false);
+  schedule_deposit(op, 0.0);
+}
+
+void ObjectDirectory::schedule_deposit(const std::shared_ptr<AsyncPublish>& op,
+                                       double delay) {
+  events_.schedule_in(delay, [this, op] {
+    // A carrier that died under the message loses this path; soft-state
+    // republish restores it (§6.5).  Either way a finished path moves on
+    // to the next root name.
+    if (op->walk.cur->alive) {
+      if (const auto next = deposit_hop(op->walk, &op->cost)) {
+        schedule_deposit(op, *next);
+        return;
+      }
+    }
+    ++op->salt;
+    begin_publish_path(op);
+  });
 }
 
 // ---------------------------------------------------------------------
@@ -389,657 +473,344 @@ void ObjectDirectory::cache_fill_path(const Guid& base,
   }
 }
 
-LocateResult ObjectDirectory::locate_attempt(TapestryNode& client,
-                                             const Guid& target,
-                                             Trace* trace, const Guid* base) {
-  LocateResult res;
-  Trace local(false);
-  Trace* t = trace != nullptr ? trace : &local;
-  const std::size_t msgs0 = t->messages();
-  const double lat0 = t->latency();
-  const bool use_cache = base != nullptr && cache_.enabled();
-  std::vector<NodeId> walked;  // query path, for cache population
-
-  auto resolve = [&](TapestryNode& holder, const PointerRecord& rec,
-                     const Guid& via) {
-    res.found = true;
-    res.pointer_node = holder.id();
-    // The pointer hit travels as a message naming the replica; the final
-    // leg routes toward the server the delivered copy names.
-    Message found = make_message(MessageKind::kLocateFound, holder.id(),
-                                 rec.server, via);
-    found.server = rec.server;
-    found = transport_->deliver(found);
-    res.server = found.server;
-    if (use_cache) cache_fill_path(*base, walked, via, holder.id(), rec);
-    // Forward the query along neighbor links to the replica.
-    if (!(found.server == holder.id())) {
-      RouteResult leg = router_.route_to_root(holder.id(), found.server, t);
-      if (!(leg.root == found.server)) {
-        // Only a partition can divert exact-id routing: the replica is
-        // alive and same-side as the holder, but the side-local digit
-        // path may lack the entries needed to land on it exactly.  The
-        // query dead-ends at a surrogate — a miss, not a bug.
-        TAP_ASSERT_MSG(reg_.partition_active(),
-                       "exact-id routing must terminate at the server");
-        res.found = false;
-      }
-    }
-    res.hops = t->messages() - msgs0;
-    res.latency = t->latency() - lat0;
+// One locate (§2.2): what a synchronous walk would keep on its stack, made
+// explicit so either driver can run locate_step over it.  Node pointers
+// stay valid for the registry's lifetime (dead nodes are tombstones).
+struct ObjectDirectory::LocateOp {
+  enum class Phase {
+    kWalk,    ///< at `cur` on the walk toward the salted root
+    kVerify,  ///< jumped to a cached holder (`cur`): verify its store there
+    kLeg,     ///< pointer found: heading for `replica` (§2.2, Figure 3)
   };
+  Guid base{};
+  TapestryNode* client = nullptr;
+  unsigned first_salt = 0;
+  unsigned attempts = 1;
+  unsigned attempt = 0;
+  // Set by the event driver: other events fire between two steps, so a
+  // replica may die while the final leg is heading for it.
+  bool interleaved = false;
+  // Per-attempt cursor (reset by begin_locate_attempt).
+  Phase phase = Phase::kWalk;
+  Guid target{};
+  TapestryNode* cur = nullptr;
+  RouteState state{};
+  std::unordered_set<std::uint64_t> visited{};  // loop guard (§4.3)
+  Router::ExcludeSet excluded{};  // inserting nodes bounced off (Figure 10)
+  // Nodes this attempt's walk has passed through; on success each one gets
+  // a locate-cache hint pointing at the resolving holder.
+  std::vector<NodeId> path{};
+  // kVerify: the hint's salted name (it may differ from this attempt's
+  // target) and the node the walk resumes at if verification fails.
+  Guid cache_target{};
+  TapestryNode* cache_from = nullptr;
+  // kLeg: the replica the found pointer names, and the exact-id route to it.
+  NodeId replica{};
+  RouteState leg_state{};
+  // Every message of the op is charged to *trace; the result's hops and
+  // latency are the trace's growth over the whole op.
+  Trace* trace = nullptr;
+  std::size_t msgs0 = 0;
+  double lat0 = 0.0;
+  LocateResult res{};
+};
 
-  TapestryNode* cur = &client;
-  RouteState state;
-  std::unordered_set<std::uint64_t> visited;  // loop guard (§4.3)
-  Router::ExcludeSet excluded;  // inserting nodes we bounced off (Figure 10)
-  for (;;) {
-    // Check the current node for a pointer before routing further.
-    if (auto rec = pick_live_replica(*cur, target, *cur); rec.has_value()) {
-      walked.push_back(cur->id());
-      resolve(*cur, *rec, target);
-      return res;
+struct ObjectDirectory::AsyncLocate {
+  LocateOp op;
+  // Overlapping operations would interleave in a shared trace, so each one
+  // accounts privately and the total is absorbed at completion.
+  Trace cost{false};
+  Trace* external = nullptr;
+  LocateCallback done;
+};
+
+ObjectDirectory::LocateOp ObjectDirectory::start_locate(TapestryNode& client,
+                                                        const Guid& guid,
+                                                        Trace* cost) {
+  LocateOp op;
+  op.base = guid;
+  op.client = &client;
+  // "At the beginning of the query, we select a root randomly from R_psi."
+  op.first_salt = params_.root_multiplicity == 1
+                      ? 0
+                      : static_cast<unsigned>(
+                            rng_.next_u64(params_.root_multiplicity));
+  // Observation 1: when enabled, a miss retries the remaining independent
+  // root names, accumulating cost; the first hit wins.
+  op.attempts = params_.retry_all_roots ? params_.root_multiplicity : 1;
+  op.trace = cost;
+  op.msgs0 = cost->messages();
+  op.lat0 = cost->latency();
+  begin_locate_attempt(op);
+  return op;
+}
+
+void ObjectDirectory::begin_locate_attempt(LocateOp& op) const {
+  op.phase = LocateOp::Phase::kWalk;
+  op.target = salted_guid(
+      op.base, (op.first_salt + op.attempt) % params_.root_multiplicity);
+  op.cur = op.client;
+  op.state = RouteState{};
+  op.visited.clear();
+  op.excluded.clear();
+  op.path.clear();
+  op.res = LocateResult{};  // a diverted leg may have left partial fields
+}
+
+std::optional<double> ObjectDirectory::end_locate_attempt(LocateOp& op) {
+  if (++op.attempt < op.attempts) {
+    begin_locate_attempt(op);
+    return 0.0;
+  }
+  // A miss reports no "last known location", even if a diverted final leg
+  // had already named a pointer holder and server.
+  op.res = LocateResult{};
+  return finish_locate(op);
+}
+
+std::optional<double> ObjectDirectory::finish_locate(LocateOp& op) {
+  op.res.hops = op.trace->messages() - op.msgs0;
+  op.res.latency = op.trace->latency() - op.lat0;
+  record_locate_metrics(op.res);
+  return std::nullopt;
+}
+
+double ObjectDirectory::send_locate_message(const LocateOp& op,
+                                            const TapestryNode& from,
+                                            const TapestryNode& to,
+                                            std::size_t msgs) {
+  (void)transport_->deliver(
+      make_message(MessageKind::kLocateStep, from.id(), to.id(), op.target));
+  reg_.acct(op.trace, from, to, msgs);
+  return hop_delay(from, to);
+}
+
+std::optional<double> ObjectDirectory::resolve_at(LocateOp& op,
+                                                  TapestryNode& holder,
+                                                  const PointerRecord& rec,
+                                                  const Guid& via) {
+  op.res.pointer_node = holder.id();
+  // The pointer hit travels as a message naming the replica; the final leg
+  // routes toward the server the delivered copy names.
+  Message found =
+      make_message(MessageKind::kLocateFound, holder.id(), rec.server, via);
+  found.server = rec.server;
+  found = transport_->deliver(found);
+  op.res.server = found.server;
+  cache_fill_path(op.base, op.path, via, holder.id(), rec);
+  if (found.server == holder.id()) {  // the pointer holder is the replica
+    op.res.found = true;
+    return finish_locate(op);
+  }
+  op.phase = LocateOp::Phase::kLeg;
+  op.replica = found.server;
+  op.leg_state = RouteState{};
+  op.cur = &holder;
+  return 0.0;
+}
+
+std::optional<double> ObjectDirectory::locate_step(LocateOp& op) {
+  using Phase = LocateOp::Phase;
+  TapestryNode* at = op.cur;
+  const bool delivered = at->alive;
+
+  if (op.phase == Phase::kVerify) {
+    // The jump to a remembered holder has landed (or tried to): re-read its
+    // real store.  Everything may have changed since the hint was learned —
+    // holder crashed, record unpublished, expired or rerouted away, named
+    // replica dead — and each of those must behave exactly as the uncached
+    // walk would have: resume routing, don't fail.
+    if (delivered) {
+      if (auto rec = pick_live_replica(*at, op.cache_target, *at);
+          rec.has_value())
+        return resolve_at(op, *at, *rec, op.cache_target);
     }
-
-    // A remembered resolution short-circuits the walk: jump one message to
-    // the cached pointer holder and re-read its real store there.  Success
-    // resolves exactly as an uncached arrival at that holder would; failure
-    // (holder dead, record gone/expired/rerouted, replica dead) erases the
-    // hint, pays the probe round trip, and resumes the walk right here.
-    if (use_cache) {
-      if (auto ce = cache_.lookup(cur->id(), *base, events_.now());
-          ce.has_value()) {
-        TapestryNode* h = reg_.find(ce->holder);
-        if (h != nullptr && h->alive && !(h->id() == cur->id()) &&
-            reg_.reachable(cur->id(), h->id())) {
-          wire(MessageKind::kLocateStep, cur->id(), h->id(), target);
-          reg_.acct(t, *cur, *h);  // forward to the remembered holder
-          if (auto rec = pick_live_replica(*h, ce->target, *h);
-              rec.has_value()) {
-            walked.push_back(cur->id());
-            resolve(*h, *rec, ce->target);
-            return res;
-          }
-          wire(MessageKind::kLocateStep, h->id(), cur->id(), target);
-          reg_.acct(t, *h, *cur);  // verification failed: bounce back
-          cache_.note_fallback();
-        }
-        cache_.erase(cur->id(), *base);
-      }
-    }
-
-    walked.push_back(cur->id());
-    if (!visited.insert(cur->id().value()).second) break;  // loop -> miss
-
-    const unsigned level_before = state.level;
-    auto next = router_.route_step(*cur, target, state, t,
-                                   excluded.empty() ? nullptr : &excluded);
-    if (next.has_value()) {
-      // §2.4 PRR variant: before taking the hop, probe the *secondary*
-      // members of the slot being routed through for pointers (the
-      // primary is about to be visited anyway).
-      if (params_.prr_secondary_search) {
-        TAP_ASSERT(state.level >= 1);
-        const unsigned slot_level =
-            state.level - 1 >= level_before ? state.level - 1 : level_before;
-        const unsigned digit = next->digit(slot_level);
-        // Copy: probing may prune dead members.
-        const auto members = cur->table().at(slot_level, digit).entries();
-        for (const auto& member : members) {
-          if (member.id == *next || member.id == cur->id()) continue;
-          TapestryNode* m = reg_.find(member.id);
-          if (m == nullptr || !m->alive) continue;
-          if (!reg_.reachable(cur->id(), member.id)) continue;
-          wire(MessageKind::kLocateStep, cur->id(), m->id(), target);
-          reg_.acct(t, *cur, *m, 2);  // probe round trip
-          if (auto rec = pick_live_replica(*m, target, *cur);
-              rec.has_value()) {
-            resolve(*m, *rec, target);
-            return res;
-          }
-        }
-      }
-      TapestryNode& nxt = reg_.live(*next);
-      Message q = make_message(MessageKind::kLocateStep, cur->id(), nxt.id(),
-                               target);
-      q.level = state.level;
-      q.flag = state.past_hole;
-      q = transport_->deliver(q);
-      state.level = q.level;
-      state.past_hole = q.flag;
-      reg_.acct(t, *cur, nxt);
-      cur = &nxt;
-      continue;
-    }
-
-    // cur is the root and has no pointer.  If cur is still inserting, the
-    // pointer may not have been transferred yet: send the request back out
-    // at the hole level to the surrogate, which routes it as if the new
-    // node had not yet entered the network (Figure 10).
-    if (cur->inserting && cur->psurrogate.has_value() &&
-        reg_.is_live(*cur->psurrogate)) {
-      excluded.insert(cur->id().value());
-      TapestryNode& sur = reg_.live(*cur->psurrogate);
-      wire(MessageKind::kLocateStep, cur->id(), sur.id(), target);
-      reg_.acct(t, *cur, sur);
-      // Resume at the level of the hole the inserting node fills.  The
-      // re-route may legally revisit earlier nodes; termination is
-      // guaranteed because each bounce permanently excludes one more
-      // inserting node.
-      state.level = cur->id().common_prefix_len(sur.id());
-      visited.clear();
-      cur = &sur;
-      continue;
-    }
-
-    // Quorum fallback: the root lost its records (typically it is a fresh
-    // surrogate after the old root died).  Read R-of-N from the holder
-    // set, install the merged records here so future queries hit the fast
-    // path, and resolve as if the root had held them all along.
-    if (replicator_ != nullptr) {
-      const auto merged =
-          replicator_->quorum_read(*cur, target, events_.now(), t);
-      if (!merged.empty()) {
-        for (const PointerRecord& r : merged) cur->store().upsert(target, r);
-        if (auto rec = pick_live_replica(*cur, target, *cur);
-            rec.has_value()) {
-          resolve(*cur, *rec, target);
-          return res;
-        }
-      }
-    }
-    break;  // definitive miss
+    // Verification failed: drop the hint, bounce back to where the walk
+    // left off, and re-run that node's handler from the top (which records
+    // it on the path again).  If that node died meanwhile, the attempt is
+    // lost like any other carrier death.
+    cache_.erase(op.cache_from->id(), op.base);
+    cache_.note_fallback();
+    op.path.pop_back();
+    TapestryNode* from = op.cache_from;
+    if (!from->alive) return end_locate_attempt(op);
+    op.phase = Phase::kWalk;
+    op.cur = op.cache_from;
+    return send_locate_message(op, *at, *from);
   }
 
-  res.hops = t->messages() - msgs0;
-  res.latency = t->latency() - lat0;
-  return res;
+  // The node carrying the query died while the message was in flight: this
+  // root attempt is lost (retried on the remaining roots under
+  // retry_all_roots).
+  if (!delivered) return end_locate_attempt(op);
+  TapestryNode& cur = *at;
+  Trace* t = op.trace;
+
+  if (op.phase == Phase::kLeg) {
+    if (cur.id() == op.replica) {  // arrived at the replica
+      op.res.found = true;
+      return finish_locate(op);
+    }
+    // One exact-id routing decision toward the replica.  route_step hands
+    // back live nodes only; if the replica crashed after the pointer was
+    // read, lazy repair purges it and the walk ends at its surrogate
+    // instead — a lost attempt, like any other in-flight casualty.
+    const auto next = router_.route_step(cur, op.replica, op.leg_state, t);
+    if (!next.has_value()) {
+      // Otherwise only a partition can divert exact-id routing: the replica
+      // is alive and same-side as the holder, but the side-local digit path
+      // may lack the entries needed to land on it exactly.  The query
+      // dead-ends at a surrogate — a miss, not a bug.
+      TAP_ASSERT_MSG(op.interleaved || reg_.partition_active(),
+                     "exact-id routing must terminate at the server");
+      return end_locate_attempt(op);
+    }
+    TapestryNode& nxt = reg_.live(*next);
+    Message hop =
+        make_message(MessageKind::kRouteHop, cur.id(), nxt.id(), op.replica);
+    hop.level = op.leg_state.level;
+    hop.flag = op.leg_state.past_hole;
+    hop = transport_->deliver(hop);
+    op.leg_state = RouteState{hop.level, hop.flag};
+    reg_.acct(t, cur, nxt);
+    op.cur = &nxt;
+    return hop_delay(cur, nxt);
+  }
+
+  // Check the current node for a pointer before routing further.
+  if (auto rec = pick_live_replica(cur, op.target, cur); rec.has_value()) {
+    op.path.push_back(cur.id());
+    return resolve_at(op, cur, *rec, op.target);
+  }
+
+  // A remembered resolution short-circuits the walk: jump one message to
+  // the cached holder and verify its real store when the message lands
+  // (kVerify).  Checked after the authoritative store and before the loop
+  // guard: a failed verification resumes the walk here, and that
+  // resumption must not count as a revisit.
+  if (cache_.enabled()) {
+    if (auto ce = cache_.lookup(cur.id(), op.base, events_.now());
+        ce.has_value()) {
+      TapestryNode* h = reg_.find(ce->holder);
+      if (h != nullptr && h->alive && !(h->id() == cur.id()) &&
+          reg_.reachable(cur.id(), h->id())) {
+        op.path.push_back(cur.id());
+        op.phase = Phase::kVerify;
+        op.cache_target = ce->target;
+        op.cache_from = &cur;
+        op.cur = h;
+        return send_locate_message(op, cur, *h);
+      }
+      cache_.erase(cur.id(), op.base);
+    }
+  }
+
+  op.path.push_back(cur.id());
+  if (!op.visited.insert(cur.id().value()).second)  // loop -> miss (§4.3)
+    return end_locate_attempt(op);
+
+  const unsigned level_before = op.state.level;
+  const auto next = router_.route_step(
+      cur, op.target, op.state, t,
+      op.excluded.empty() ? nullptr : &op.excluded);
+  if (next.has_value()) {
+    // §2.4 PRR variant: before taking the hop, probe the *secondary*
+    // members of the slot being routed through for pointers (the primary
+    // is about to be visited anyway).
+    if (params_.prr_secondary_search) {
+      TAP_ASSERT(op.state.level >= 1);
+      const unsigned slot_level = op.state.level - 1 >= level_before
+                                      ? op.state.level - 1
+                                      : level_before;
+      for (TapestryNode* m : secondaries(cur, slot_level, *next, true)) {
+        (void)send_locate_message(op, cur, *m, 2);  // probe round trip
+        if (auto rec = pick_live_replica(*m, op.target, cur);
+            rec.has_value())
+          return resolve_at(op, *m, *rec, op.target);
+      }
+    }
+    TapestryNode& nxt = reg_.live(*next);
+    Message q =
+        make_message(MessageKind::kLocateStep, cur.id(), nxt.id(), op.target);
+    q.level = op.state.level;
+    q.flag = op.state.past_hole;
+    q = transport_->deliver(q);
+    op.state = RouteState{q.level, q.flag};
+    reg_.acct(t, cur, nxt);
+    op.cur = &nxt;
+    return hop_delay(cur, nxt);
+  }
+
+  // cur is the root and has no pointer.  If cur is still inserting, the
+  // pointer may not have been transferred yet: send the request back out at
+  // the hole level to the surrogate, which routes it as if the new node had
+  // not yet entered the network (Figure 10).
+  if (cur.inserting && cur.psurrogate.has_value() &&
+      reg_.is_live(*cur.psurrogate)) {
+    op.excluded.insert(cur.id().value());
+    TapestryNode& sur = reg_.live(*cur.psurrogate);
+    const double delay = send_locate_message(op, cur, sur);
+    // Resume at the level of the hole the inserting node fills.  The
+    // re-route may legally revisit earlier nodes; termination is guaranteed
+    // because each bounce permanently excludes one more inserting node.
+    op.state.level = cur.id().common_prefix_len(sur.id());
+    op.visited.clear();
+    op.cur = &sur;
+    return delay;
+  }
+
+  // Quorum fallback: the root lost its records (typically it is a fresh
+  // surrogate after the old root died).  Read R-of-N from the holder set,
+  // install the merged records here so future queries hit the fast path,
+  // and resolve as if the root had held them all along.
+  if (replicator_ != nullptr) {
+    const auto merged =
+        replicator_->quorum_read(cur, op.target, events_.now(), t);
+    if (!merged.empty()) {
+      for (const PointerRecord& r : merged) cur.store().upsert(op.target, r);
+      if (auto rec = pick_live_replica(cur, op.target, cur); rec.has_value())
+        return resolve_at(op, cur, *rec, op.target);
+    }
+  }
+  return end_locate_attempt(op);  // definitive miss for this root
 }
 
 LocateResult ObjectDirectory::locate(NodeId client, const Guid& guid,
                                      Trace* trace) {
   TapestryNode& c = reg_.live(client);
-  TAP_CHECK(guid.valid() && guid.spec() == params_.id,
-            "guid does not match the network's IdSpec");
-  // "At the beginning of the query, we select a root randomly from R_psi."
-  const unsigned first = params_.root_multiplicity == 1
-                             ? 0
-                             : static_cast<unsigned>(
-                                   rng_.next_u64(params_.root_multiplicity));
-  // Observation 1: when enabled, a miss retries the remaining independent
-  // root names, accumulating cost; the first hit wins.
-  const unsigned attempts =
-      params_.retry_all_roots ? params_.root_multiplicity : 1;
+  check_guid(guid);
   Trace local(false);
-  Trace* t = trace != nullptr ? trace : &local;
-  LocateResult res;
-  double spent_latency = 0.0;
-  std::size_t spent_hops = 0;
-  for (unsigned a = 0; a < attempts; ++a) {
-    const unsigned salt = (first + a) % params_.root_multiplicity;
-    res = locate_attempt(c, salted_guid(guid, salt), t, &guid);
-    if (res.found) {
-      res.hops += spent_hops;
-      res.latency += spent_latency;
-      record_locate_metrics(res);
-      return res;
-    }
-    spent_hops += res.hops;
-    spent_latency += res.latency;
+  LocateOp op = start_locate(c, guid, trace != nullptr ? trace : &local);
+  while (locate_step(op).has_value()) {
   }
-  res.hops = spent_hops;
-  res.latency = spent_latency;
-  record_locate_metrics(res);
-  return res;
-}
-
-// ---------------------------------------------------------------------
-// Event-driven publish / locate
-// ---------------------------------------------------------------------
-//
-// The async variants run the same per-node logic as the synchronous code
-// above, but as one EventQueue event per routing hop: between two hops of
-// one operation, any number of other events — churn, repairs, republish
-// refreshes, expiry sweeps, other operations' hops — may fire.  State that
-// the synchronous code keeps on the stack lives in a shared_ptr'd op
-// struct; each scheduled step captures the struct, never raw node
-// pointers, and re-resolves nodes through the registry when it fires (the
-// node a query is parked on may have died in the meantime).
-
-struct ObjectDirectory::AsyncLocateOp {
-  Guid base{};
-  NodeId client{};
-  unsigned first_salt = 0;
-  unsigned attempts = 1;
-  unsigned attempt = 0;
-  // Per-attempt cursor (reset by begin_locate_attempt).
-  Guid target{};
-  NodeId cur{};
-  RouteState state{};
-  std::unordered_set<std::uint64_t> visited{};
-  Router::ExcludeSet excluded{};
-  // Nodes this attempt's walk has passed through; on success each one gets
-  // a locate-cache hint pointing at the resolving holder.
-  std::vector<NodeId> path{};
-  // A cache hit in flight: the query jumped from cache_from toward the
-  // remembered holder and will verify the real store there
-  // (locate_cache_step); the hint's salted name rides along because it may
-  // differ from this attempt's target.
-  Guid cache_target{};
-  NodeId cache_holder{};
-  NodeId cache_from{};
-  // Final pointer -> replica leg (§2.2, Figure 3), decomposed per hop like
-  // the walk to the pointer: set once a pointer is found.  (Which phase a
-  // query is in is encoded by the scheduled callback — locate_step vs
-  // locate_replica_step — not by a flag.)
-  NodeId replica_target{};
-  RouteState leg_state{};
-  // Accounting: everything lands here; absorbed into `external` at the end.
-  Trace per_op{false};
-  Trace* external = nullptr;
-  LocateCallback done;
-  LocateResult res{};
-};
-
-struct ObjectDirectory::AsyncPublishOp {
-  NodeId server{};
-  Guid base{};
-  unsigned salt = 0;
-  // Per-path cursor (reset by begin_publish_path).
-  Guid target{};
-  NodeId cur{};
-  std::optional<NodeId> last_hop{};
-  RouteState state{};
-  double expires = 0.0;
-  Trace per_op{false};
-  Trace* external = nullptr;
-  PublishCallback done;
-};
-
-void ObjectDirectory::publish_async(NodeId server, const Guid& guid,
-                                    Trace* trace, PublishCallback done) {
-  TAP_CHECK(guid.valid() && guid.spec() == params_.id,
-            "guid does not match the network's IdSpec");
-  TAP_CHECK(reg_.is_live(server), "publish_async: server must be alive");
-  metrics::publish_total().inc();
-  // The replica exists from this instant; the directory catches up hop by
-  // hop (queries racing the deposit may legitimately miss meanwhile).
-  auto& servers = replicas_[guid];
-  if (std::find(servers.begin(), servers.end(), server) == servers.end())
-    servers.push_back(server);
-  auto op = std::make_shared<AsyncPublishOp>();
-  op->server = server;
-  op->base = guid;
-  op->external = trace;
-  op->done = std::move(done);
-  ++in_flight_;
-  begin_publish_path(op);
-}
-
-void ObjectDirectory::begin_publish_path(
-    const std::shared_ptr<AsyncPublishOp>& op) {
-  if (op->salt >= params_.root_multiplicity || !reg_.is_live(op->server)) {
-    if (op->external != nullptr) op->external->absorb(op->per_op);
-    --in_flight_;
-    if (op->done) op->done();
-    return;
-  }
-  op->target = salted_guid(op->base, op->salt);
-  op->cur = op->server;
-  op->last_hop.reset();
-  op->state = RouteState{};
-  op->expires = events_.now() + params_.pointer_ttl;
-  events_.schedule_in(0.0, [this, op] { publish_step(op); });
-}
-
-void ObjectDirectory::publish_step(const std::shared_ptr<AsyncPublishOp>& op) {
-  TapestryNode* cur = reg_.find(op->cur);
-  if (cur == nullptr || !cur->alive) {
-    // The carrier died under the message: this path is lost; soft-state
-    // republish restores it (§6.5).  Continue with the next root name.
-    ++op->salt;
-    begin_publish_path(op);
-    return;
-  }
-  const PointerRecord rec{op->server, op->last_hop, op->state.level,
-                          op->state.past_hole, op->expires};
-  cur->store().upsert(op->target, rec);
-  auto next = router_.route_step(*cur, op->target, op->state, &op->per_op);
-  if (!next.has_value()) {  // root reached and stamped
-    if (replicator_) {
-      replicator_->mirror_publish(*cur, op->target, rec, &op->per_op);
-    }
-    ++op->salt;
-    begin_publish_path(op);
-    return;
-  }
-  if (params_.prr_secondary_search && op->state.level >= 1) {
-    // Mirror the synchronous path: deposit on the slot's secondaries too.
-    const unsigned slot_level = op->state.level - 1;
-    const unsigned digit = next->digit(slot_level);
-    const auto members = cur->table().at(slot_level, digit).entries();
-    for (const auto& member : members) {
-      if (member.id == *next || member.id == cur->id()) continue;
-      TapestryNode* m = reg_.find(member.id);
-      if (m == nullptr || !m->alive) continue;
-      if (!reg_.reachable(cur->id(), member.id)) continue;
-      reg_.acct(&op->per_op, *cur, *m, 1);
-      m->store().upsert(op->target,
-                        PointerRecord{op->server, cur->id(), op->state.level,
-                                      op->state.past_hole, op->expires});
-    }
-  }
-  TapestryNode& nxt = reg_.live(*next);
-  Message m = make_message(MessageKind::kPublishDeposit, cur->id(), nxt.id(),
-                           op->target);
-  m.server = op->server;
-  m.last_hop = cur->id();
-  m.level = op->state.level;
-  m.flag = op->state.past_hole;
-  m.expires_at = op->expires;
-  m = transport_->deliver(m);
-  reg_.acct(&op->per_op, *cur, nxt);
-  op->last_hop = m.last_hop;
-  op->state.level = m.level;
-  op->state.past_hole = m.flag;
-  op->expires = m.expires_at;
-  op->cur = *next;
-  events_.schedule_in(reg_.dist(*cur, nxt) * params_.hop_delay_scale,
-                      [this, op] { publish_step(op); });
+  return op.res;
 }
 
 void ObjectDirectory::locate_async(NodeId client, const Guid& guid,
                                    LocateCallback done, Trace* trace) {
   TAP_CHECK(static_cast<bool>(done), "locate_async requires a callback");
-  TAP_CHECK(guid.valid() && guid.spec() == params_.id,
-            "guid does not match the network's IdSpec");
+  check_guid(guid);
   TAP_CHECK(reg_.is_live(client), "locate_async: client must be alive");
-  auto op = std::make_shared<AsyncLocateOp>();
-  op->base = guid;
-  op->client = client;
-  op->first_salt = params_.root_multiplicity == 1
-                       ? 0
-                       : static_cast<unsigned>(
-                             rng_.next_u64(params_.root_multiplicity));
-  op->attempts = params_.retry_all_roots ? params_.root_multiplicity : 1;
+  auto op = std::make_shared<AsyncLocate>();
+  op->op = start_locate(reg_.live(client), guid, &op->cost);
+  op->op.interleaved = true;
   op->external = trace;
   op->done = std::move(done);
   ++in_flight_;
-  begin_locate_attempt(op);
+  schedule_locate(op, 0.0);
 }
 
-void ObjectDirectory::begin_locate_attempt(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  const unsigned salt =
-      (op->first_salt + op->attempt) % params_.root_multiplicity;
-  op->target = salted_guid(op->base, salt);
-  op->cur = op->client;
-  op->state = RouteState{};
-  op->visited.clear();
-  op->excluded.clear();
-  op->path.clear();
-  op->replica_target = NodeId{};
-  op->leg_state = RouteState{};
-  op->res = LocateResult{};  // a failed leg may have left partial fields
-  events_.schedule_in(0.0, [this, op] { locate_step(op); });
-}
-
-void ObjectDirectory::next_locate_attempt(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  ++op->attempt;
-  if (op->attempt >= op->attempts) {
-    // A failed final leg may have left pointer_node/server populated;
-    // a miss must not leak a stale "last known location".
-    op->res = LocateResult{};
-    finish_locate(op);
-    return;
-  }
-  begin_locate_attempt(op);
-}
-
-void ObjectDirectory::finish_locate(const std::shared_ptr<AsyncLocateOp>& op) {
-  op->res.hops = op->per_op.messages();
-  op->res.latency = op->per_op.latency();
-  record_locate_metrics(op->res);
-  if (op->external != nullptr) op->external->absorb(op->per_op);
-  --in_flight_;
-  op->done(op->res);
-}
-
-void ObjectDirectory::locate_step(const std::shared_ptr<AsyncLocateOp>& op) {
-  TapestryNode* curp = reg_.find(op->cur);
-  if (curp == nullptr || !curp->alive) {
-    // The node carrying the query died while the message was in flight:
-    // this root attempt is lost.  (The synchronous path can never observe
-    // this state — it completes atomically against a liveness snapshot.)
-    next_locate_attempt(op);
-    return;
-  }
-  TapestryNode& cur = *curp;
-  Trace* t = &op->per_op;
-
-  auto resolve = [&](TapestryNode& holder, const PointerRecord& rec,
-                     const Guid& via) {
-    op->res.pointer_node = holder.id();
-    Message found = make_message(MessageKind::kLocateFound, holder.id(),
-                                 rec.server, via);
-    found.server = rec.server;
-    found = transport_->deliver(found);
-    op->res.server = found.server;
-    cache_fill_path(op->base, op->path, via, holder.id(), rec);
-    if (found.server == holder.id()) {  // the pointer holder is the replica
-      op->res.found = true;
-      finish_locate(op);
+void ObjectDirectory::schedule_locate(const std::shared_ptr<AsyncLocate>& op,
+                                      double delay) {
+  events_.schedule_in(delay, [this, op] {
+    if (const auto next = locate_step(op->op)) {
+      schedule_locate(op, *next);
       return;
     }
-    // Final leg to the replica: one routing decision per event, exactly
-    // like the walk to the pointer, so a replica (or carrier) crash can
-    // strike while the query is already heading for it — the §6.5
-    // interleaving the atomic leg could never observe.
-    op->replica_target = found.server;
-    op->leg_state = RouteState{};
-    op->cur = holder.id();
-    events_.schedule_in(0.0, [this, op] { locate_replica_step(op); });
-  };
-
-  // Check the current node for a pointer before routing further.
-  if (auto rec = pick_live_replica(cur, op->target, cur); rec.has_value()) {
-    op->path.push_back(cur.id());
-    resolve(cur, *rec, op->target);
-    return;
-  }
-
-  // A remembered resolution short-circuits the walk: jump one message to
-  // the cached holder and verify its real store when the message lands
-  // (locate_cache_step) — the holder's state *then* decides, exactly as
-  // for any other in-flight hop.  Checked after the authoritative store
-  // and before the loop guard: a failed verification resumes the walk
-  // here, and that resumption must not count as a revisit.
-  if (cache_.enabled()) {
-    if (auto ce = cache_.lookup(cur.id(), op->base, events_.now());
-        ce.has_value()) {
-      TapestryNode* h = reg_.find(ce->holder);
-      if (h != nullptr && h->alive && !(h->id() == cur.id()) &&
-          reg_.reachable(cur.id(), h->id())) {
-        wire(MessageKind::kLocateStep, cur.id(), h->id(), op->target);
-        reg_.acct(t, cur, *h);  // forward to the remembered holder
-        op->path.push_back(cur.id());
-        op->cache_target = ce->target;
-        op->cache_holder = ce->holder;
-        op->cache_from = cur.id();
-        events_.schedule_in(reg_.dist(cur, *h) * params_.hop_delay_scale,
-                            [this, op] { locate_cache_step(op); });
-        return;
-      }
-      cache_.erase(cur.id(), op->base);
-    }
-  }
-
-  op->path.push_back(cur.id());
-  if (!op->visited.insert(cur.id().value()).second) {  // loop -> miss (§4.3)
-    next_locate_attempt(op);
-    return;
-  }
-
-  const unsigned level_before = op->state.level;
-  auto next = router_.route_step(cur, op->target, op->state, t,
-                                 op->excluded.empty() ? nullptr
-                                                      : &op->excluded);
-  if (next.has_value()) {
-    if (params_.prr_secondary_search) {
-      // §2.4: probe the secondaries of the slot being routed through.
-      TAP_ASSERT(op->state.level >= 1);
-      const unsigned slot_level = op->state.level - 1 >= level_before
-                                      ? op->state.level - 1
-                                      : level_before;
-      const unsigned digit = next->digit(slot_level);
-      const auto members = cur.table().at(slot_level, digit).entries();
-      for (const auto& member : members) {
-        if (member.id == *next || member.id == cur.id()) continue;
-        TapestryNode* m = reg_.find(member.id);
-        if (m == nullptr || !m->alive) continue;
-        if (!reg_.reachable(cur.id(), member.id)) continue;
-        wire(MessageKind::kLocateStep, cur.id(), m->id(), op->target);
-        reg_.acct(t, cur, *m, 2);  // probe round trip
-        if (auto rec = pick_live_replica(*m, op->target, cur);
-            rec.has_value()) {
-          resolve(*m, *rec, op->target);
-          return;
-        }
-      }
-    }
-    TapestryNode& nxt = reg_.live(*next);
-    Message hop = make_message(MessageKind::kLocateStep, cur.id(), nxt.id(),
-                               op->target);
-    hop.level = op->state.level;
-    hop.flag = op->state.past_hole;
-    hop = transport_->deliver(hop);
-    op->state.level = hop.level;
-    op->state.past_hole = hop.flag;
-    reg_.acct(t, cur, nxt);
-    op->cur = *next;
-    events_.schedule_in(reg_.dist(cur, nxt) * params_.hop_delay_scale,
-                        [this, op] { locate_step(op); });
-    return;
-  }
-
-  // Root without a pointer; bounce to the surrogate if the root is still
-  // inserting (Figure 10), exactly as in the synchronous path.
-  if (cur.inserting && cur.psurrogate.has_value() &&
-      reg_.is_live(*cur.psurrogate)) {
-    op->excluded.insert(cur.id().value());
-    TapestryNode& sur = reg_.live(*cur.psurrogate);
-    wire(MessageKind::kLocateStep, cur.id(), sur.id(), op->target);
-    reg_.acct(t, cur, sur);
-    op->state.level = cur.id().common_prefix_len(sur.id());
-    op->visited.clear();
-    op->cur = sur.id();
-    events_.schedule_in(reg_.dist(cur, sur) * params_.hop_delay_scale,
-                        [this, op] { locate_step(op); });
-    return;
-  }
-
-  // Quorum fallback, mirroring the synchronous path: a root with no
-  // records asks its holder set before declaring a miss.
-  if (replicator_ != nullptr) {
-    const auto merged =
-        replicator_->quorum_read(cur, op->target, events_.now(), t);
-    if (!merged.empty()) {
-      for (const PointerRecord& r : merged) cur.store().upsert(op->target, r);
-      if (auto rec = pick_live_replica(cur, op->target, cur);
-          rec.has_value()) {
-        resolve(cur, *rec, op->target);
-        return;
-      }
-    }
-  }
-  next_locate_attempt(op);  // definitive miss for this root
-}
-
-void ObjectDirectory::locate_cache_step(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  // The jump message has landed (or tried to): verify the remembered
-  // holder's real store against the hint.  Everything may have changed
-  // while the message flew — holder crashed, record unpublished, expired
-  // or rerouted away, named replica dead — and each of those must behave
-  // exactly as the uncached walk would have: resume routing, don't fail.
-  TapestryNode* h = reg_.find(op->cache_holder);
-  if (h != nullptr && h->alive) {
-    if (auto rec = pick_live_replica(*h, op->cache_target, *h);
-        rec.has_value()) {
-      // Same resolution an uncached arrival at this holder would produce.
-      op->res.pointer_node = h->id();
-      Message found = make_message(MessageKind::kLocateFound, h->id(),
-                                   rec->server, op->cache_target);
-      found.server = rec->server;
-      found = transport_->deliver(found);
-      op->res.server = found.server;
-      cache_fill_path(op->base, op->path, op->cache_target, h->id(), *rec);
-      if (found.server == h->id()) {
-        op->res.found = true;
-        finish_locate(op);
-        return;
-      }
-      op->replica_target = found.server;
-      op->leg_state = RouteState{};
-      op->cur = h->id();
-      events_.schedule_in(0.0, [this, op] { locate_replica_step(op); });
-      return;
-    }
-  }
-  // Verification failed: drop the hint and bounce back to where the walk
-  // left off.  If that node died meanwhile, the attempt is lost like any
-  // other carrier death.
-  cache_.erase(op->cache_from, op->base);
-  cache_.note_fallback();
-  TapestryNode* from = reg_.find(op->cache_from);
-  if (from == nullptr || !from->alive) {
-    next_locate_attempt(op);
-    return;
-  }
-  double delay = 0.0;
-  if (h != nullptr) {
-    wire(MessageKind::kLocateStep, h->id(), from->id(), op->target);
-    reg_.acct(&op->per_op, *h, *from);  // the bounce-back message
-    delay = reg_.dist(*h, *from) * params_.hop_delay_scale;
-  }
-  op->cur = op->cache_from;
-  events_.schedule_in(delay, [this, op] { locate_step(op); });
-}
-
-void ObjectDirectory::locate_replica_step(
-    const std::shared_ptr<AsyncLocateOp>& op) {
-  TapestryNode* curp = reg_.find(op->cur);
-  if (curp == nullptr || !curp->alive) {
-    // The node carrying the query died while the leg was in flight: this
-    // root attempt is lost, like a carrier death on the walk to the
-    // pointer.
-    next_locate_attempt(op);
-    return;
-  }
-  TapestryNode& cur = *curp;
-  if (cur.id() == op->replica_target) {  // arrived at the replica
-    op->res.found = true;
-    finish_locate(op);
-    return;
-  }
-  // One exact-id routing decision toward the replica per event.
-  // route_step hands back live nodes only; if the replica crashed after
-  // the pointer was read, lazy repair purges it and the walk terminates
-  // at its surrogate instead — a lost attempt, retried on the remaining
-  // roots like any other in-flight casualty.
-  auto next = router_.route_step(cur, op->replica_target, op->leg_state,
-                                 &op->per_op);
-  if (!next.has_value()) {
-    next_locate_attempt(op);
-    return;
-  }
-  TapestryNode& nxt = reg_.live(*next);
-  wire(MessageKind::kRouteHop, cur.id(), nxt.id(), op->replica_target);
-  reg_.acct(&op->per_op, cur, nxt);
-  op->cur = *next;
-  events_.schedule_in(reg_.dist(cur, nxt) * params_.hop_delay_scale,
-                      [this, op] { locate_replica_step(op); });
+    if (op->external != nullptr) op->external->absorb(op->cost);
+    --in_flight_;
+    op->done(op->op.res);
+  });
 }
 
 // ---------------------------------------------------------------------
@@ -1049,21 +820,16 @@ void ObjectDirectory::locate_replica_step(
 void ObjectDirectory::republish_server(NodeId server, Trace* trace) {
   if (!reg_.is_live(server)) return;
   for (const auto& [guid, servers] : replicas_) {
-    if (std::find(servers.begin(), servers.end(), server) != servers.end()) {
-      TapestryNode& s = reg_.live(server);
-      for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt)
-        publish_one(s, salted_guid(guid, salt), trace);
-    }
+    if (std::find(servers.begin(), servers.end(), server) != servers.end())
+      walk_all_roots(reg_.live(server), guid, /*withdraw=*/false, trace);
   }
 }
 
 void ObjectDirectory::republish_all(Trace* trace) {
   for (const auto& [guid, servers] : replicas_) {
     for (const NodeId& server : servers) {
-      if (!reg_.is_live(server)) continue;
-      TapestryNode& s = reg_.live(server);
-      for (unsigned salt = 0; salt < params_.root_multiplicity; ++salt)
-        publish_one(s, salted_guid(guid, salt), trace);
+      if (reg_.is_live(server))
+        walk_all_roots(reg_.live(server), guid, /*withdraw=*/false, trace);
     }
   }
 }
@@ -1231,59 +997,86 @@ std::optional<NodeId> ObjectDirectory::pointer_next_hop(
 }
 
 std::vector<ObjectDirectory::PendingReroute>
-ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at) const {
+ObjectDirectory::snapshot_pointer_hops(const TapestryNode& at,
+                                       const NodeLockTable* locks) const {
+  // The store snapshot synchronises itself (sharded backend); under
+  // `locks` the table walk per record runs under `at`'s stripe so no
+  // concurrent repair half-writes a row out from under the selector.
+  const auto records = at.store().snapshot();
   std::vector<PendingReroute> out;
-  for (const auto& [guid, rec] : at.store().snapshot())
+  out.reserve(records.size());
+  std::optional<NodeLockTable::Guard> g;
+  if (locks != nullptr) g.emplace(*locks, at.id());
+  for (const auto& [guid, rec] : records)
     out.push_back(PendingReroute{guid, rec, pointer_next_hop(at, guid, rec)});
   return out;
 }
 
 void ObjectDirectory::reroute_changed_pointers(
-    TapestryNode& at, const std::vector<PendingReroute>& before,
-    Trace* trace) {
+    TapestryNode& at, const std::vector<PendingReroute>& before, Trace* trace,
+    const NodeLockTable* locks) {
   for (const auto& p : before) {
     // The record may have been refreshed or dropped meanwhile; re-read.
     const auto current = at.store().find(p.guid, p.record.server);
     if (!current.has_value()) continue;
-    const auto now_hop = pointer_next_hop(at, p.guid, *current);
+    std::optional<NodeId> now_hop;
+    {
+      std::optional<NodeLockTable::Guard> g;
+      if (locks != nullptr) g.emplace(*locks, at.id());
+      now_hop = pointer_next_hop(at, p.guid, *current);
+    }
     if (now_hop == p.next_hop) continue;
-    optimize_pointer(at, p.guid, *current, trace);
+    optimize_pointer(at, p.guid, *current, trace, locks);
   }
 }
 
 void ObjectDirectory::optimize_pointer(TapestryNode& from, const Guid& guid,
                                        const PointerRecord& record,
-                                       Trace* trace) {
+                                       Trace* trace,
+                                       const NodeLockTable* locks) {
   const NodeId changed = from.id();
   RouteState state{record.level, record.past_hole};
   TapestryNode* prev = &from;
-  auto step = router_.route_step(from, guid, state, trace);
-  while (step.has_value()) {
+  for (;;) {
+    std::optional<NodeId> step;
+    if (locks == nullptr) {
+      step = router_.route_step(*prev, guid, state, trace);
+    } else {
+      // Inside a thread-parallel wave every routing decision uses the
+      // mutation-free peek under the deciding node's stripe — never the
+      // mutating route_step, whose lazy repair would re-enter the table
+      // surgery that belongs to the wave itself.  A row left transiently
+      // without a live slot mid-wave aborts the walk;
+      // repair_pointer_chains() re-pushes whatever was cut short once the
+      // wave settles.
+      try {
+        NodeLockTable::Guard g(*locks, prev->id());
+        step = router_.route_step_peek(prev->id(), guid, state);
+      } catch (const CheckError&) {
+        return;  // transiently unroutable under the race
+      }
+    }
+    if (!step.has_value()) return;
     TapestryNode& v = reg_.live(*step);
-    Message m = make_message(MessageKind::kPointerOptimize, prev->id(),
-                             v.id(), guid);
-    m.server = record.server;
-    m.last_hop = prev->id();
-    m.level = state.level;
-    m.flag = state.past_hole;
-    m.expires_at = record.expires_at;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *prev, v);
+    const PointerRecord arriving =
+        forward_pointer(MessageKind::kPointerOptimize, *prev, v, guid,
+                        record.server, state, record.expires_at, trace);
     const auto existing = v.store().find(guid, record.server);
     const std::optional<NodeId> old_sender =
         existing.has_value() ? existing->last_hop : std::nullopt;
-    v.store().upsert(guid, PointerRecord{m.server, m.last_hop, m.level,
-                                         m.flag, m.expires_at});
+    v.store().upsert(guid, arriving);
     if (existing.has_value() && old_sender.has_value() &&
         !(*old_sender == prev->id())) {
       // Converged onto the old path: above here nothing changed.  Prune the
-      // outdated branch backward along last-hop links.
+      // outdated branch backward along last-hop links.  delete_backward
+      // touches only stores (backend-synchronised), never routing tables,
+      // and its confirm-then-delete structure keeps racy interleavings on
+      // the under-deletion side, which soft-state expiry absorbs.
       if (!(*old_sender == changed))
         delete_backward(v.id(), *old_sender, guid, record.server, changed, trace);
       return;
     }
     prev = &v;
-    step = router_.route_step(v, guid, state, trace);
   }
 }
 
@@ -1333,94 +1126,6 @@ void ObjectDirectory::delete_backward(const NodeId& notifier,
     w->store().remove(guid, victim);
     prev = w;
     sender = id;
-  }
-}
-
-// ---------------------------------------------------------------------
-// Guarded pointer maintenance (§4.2 inside thread-parallel repair waves)
-// ---------------------------------------------------------------------
-
-std::vector<ObjectDirectory::PendingReroute>
-ObjectDirectory::snapshot_pointer_hops_guarded(
-    const TapestryNode& at, const NodeLockTable& locks) const {
-  // The store snapshot synchronises itself (sharded backend); the table
-  // walk per record runs under `at`'s stripe so no concurrent repair
-  // half-writes a row out from under the selector.
-  const auto records = at.store().snapshot();
-  std::vector<PendingReroute> out;
-  out.reserve(records.size());
-  NodeLockTable::Guard g(locks, at.id());
-  for (const auto& [guid, rec] : records)
-    out.push_back(PendingReroute{guid, rec, pointer_next_hop(at, guid, rec)});
-  return out;
-}
-
-void ObjectDirectory::reroute_changed_pointers_guarded(
-    TapestryNode& at, const std::vector<PendingReroute>& before,
-    const NodeLockTable& locks, Trace* trace) {
-  for (const auto& p : before) {
-    const auto current = at.store().find(p.guid, p.record.server);
-    if (!current.has_value()) continue;
-    std::optional<NodeId> now_hop;
-    {
-      NodeLockTable::Guard g(locks, at.id());
-      now_hop = pointer_next_hop(at, p.guid, *current);
-    }
-    if (now_hop == p.next_hop) continue;
-    optimize_pointer_guarded(at, p.guid, *current, locks, trace);
-  }
-}
-
-void ObjectDirectory::optimize_pointer_guarded(TapestryNode& from,
-                                               const Guid& guid,
-                                               const PointerRecord& record,
-                                               const NodeLockTable& locks,
-                                               Trace* trace) {
-  // Same shape as optimize_pointer, but every routing decision uses the
-  // mutation-free peek selector under the deciding node's stripe — never
-  // the mutating route_step, whose lazy repair would re-enter the table
-  // surgery that belongs to the wave itself.  Store writes go through the
-  // backend's own synchronisation.  A row left transiently without a live
-  // slot mid-wave aborts the walk; repair_pointer_chains() re-pushes
-  // whatever was cut short once the wave settles.
-  const NodeId changed = from.id();
-  RouteState state{record.level, record.past_hole};
-  TapestryNode* prev = &from;
-  for (;;) {
-    std::optional<NodeId> step;
-    try {
-      NodeLockTable::Guard g(locks, prev->id());
-      step = router_.route_step_peek(prev->id(), guid, state);
-    } catch (const CheckError&) {
-      return;  // transiently unroutable under the race
-    }
-    if (!step.has_value()) return;
-    TapestryNode& v = reg_.live(*step);
-    Message m = make_message(MessageKind::kPointerOptimize, prev->id(),
-                             v.id(), guid);
-    m.server = record.server;
-    m.last_hop = prev->id();
-    m.level = state.level;
-    m.flag = state.past_hole;
-    m.expires_at = record.expires_at;
-    m = transport_->deliver(m);
-    reg_.acct(trace, *prev, v);
-    const auto existing = v.store().find(guid, record.server);
-    const std::optional<NodeId> old_sender =
-        existing.has_value() ? existing->last_hop : std::nullopt;
-    v.store().upsert(guid, PointerRecord{m.server, m.last_hop, m.level,
-                                         m.flag, m.expires_at});
-    if (existing.has_value() && old_sender.has_value() &&
-        !(*old_sender == prev->id())) {
-      // delete_backward touches only stores (backend-synchronised), never
-      // routing tables, so the serial version is reusable as-is; its
-      // confirm-then-delete structure keeps racy interleavings on the
-      // under-deletion side, which soft-state expiry absorbs.
-      if (!(*old_sender == changed))
-        delete_backward(v.id(), *old_sender, guid, record.server, changed, trace);
-      return;
-    }
-    prev = &v;
   }
 }
 

@@ -50,6 +50,12 @@ class ObjectDirectory {
   void bind_transport(Transport* transport) noexcept;
 
   // --- publication and location (§2.2) ---
+  // Publish/unpublish and locate are each written once, as a per-node
+  // step over explicit op state: it handles the message just delivered at
+  // the op's current node and returns the delay to the next delivery, or
+  // "finished".  These inline drivers loop over the step on the caller's
+  // stack (no event, shared_ptr or std::function) and charge every message
+  // straight to `trace`; the event driver below schedules each step.
   void publish(NodeId server, const Guid& guid, Trace* trace = nullptr);
   void unpublish(NodeId server, const Guid& guid, Trace* trace = nullptr);
   LocateResult locate(NodeId client, const Guid& guid, Trace* trace = nullptr);
@@ -65,9 +71,11 @@ class ObjectDirectory {
   /// with the Router's mutation-free peek (grouped by the salted guid's
   /// leading digit — the root region each path converges into), and the
   /// collected deposits land per registry shard, each shard applying its
-  /// deposits in batch order.  The result is identical to calling
-  /// publish() per request on a quiescent, fully-live mesh (the
-  /// bulk-build setting): stores, replica registry and message counts
+  /// deposits in batch order.  On the replicated backends a last serial
+  /// phase writes each path's quorum mirrors at its root, in batch order.
+  /// The result is identical to calling publish() per request on a
+  /// quiescent, fully-live mesh (the bulk-build setting): stores, quorum
+  /// mirrors and holder sets, replica registry and per-kind message counts
   /// match exactly; trace latency matches up to floating-point summation
   /// order.  The §2.4 secondary-deposit variant falls back to the serial
   /// loop.
@@ -84,14 +92,14 @@ class ObjectDirectory {
                      bool guarded = false);
 
   // --- event-driven publication and location ---
-  // Per-hop decomposition of publish/locate onto the EventQueue: each
-  // routing hop is a separate event, delayed by the link's metric distance
-  // scaled by params.hop_delay_scale, so repairs, republishes and expiry
-  // genuinely interleave with in-flight operations (the execution model
-  // §6.5's churn results assume).  All cost accounting for one operation
-  // lands in a private per-operation Trace and is absorbed into `trace` at
-  // completion, so per-query hop/latency figures stay exact even when many
-  // operations overlap.
+  // The same steps, one EventQueue event per delivery, delayed by the hop's
+  // metric distance scaled by params.hop_delay_scale, so repairs,
+  // republishes and expiry genuinely interleave with in-flight operations
+  // (the execution model §6.5's churn results assume); only here can a
+  // message reach a node that died after it was sent.  Each operation
+  // accounts in a private Trace absorbed into `trace` at completion, so
+  // per-query figures stay exact when operations overlap.  On a quiescent
+  // mesh the results equal the inline driver's.
   using LocateCallback = std::function<void(const LocateResult&)>;
   using PublishCallback = std::function<void()>;
 
@@ -105,7 +113,7 @@ class ObjectDirectory {
   /// Event-driven locate: one routing decision per event.  The query
   /// observes whatever directory state holds when each hop fires.  A query
   /// stranded on a node that dies mid-flight loses that root attempt (and
-  /// retries remaining roots under retry_all_roots, like the sync path).
+  /// retries remaining roots under retry_all_roots, like any miss).
   void locate_async(NodeId client, const Guid& guid, LocateCallback done,
                     Trace* trace = nullptr);
 
@@ -165,16 +173,25 @@ class ObjectDirectory {
   void stop_soft_state();
 
   // --- pointer maintenance (§4.2, Figure 9) ---
+  // `locks` as in Router::walk_to_root_peek.  Null: the serial mesh, routed
+  // with the mutating route_step.  Non-null: a thread-parallel repair wave
+  // mutates routing tables, so every table read takes the owning node's
+  // stripe, one guard at a time (node_locks.h), routing uses route_step_peek
+  // and stops at a row with no live slot (repair_pointer_chains finishes
+  // the walk), and deposits rely on the store backend's own
+  // synchronisation (StoreBackend::kSharded when genuinely racing).
   /// Snapshot the records of `at` whose next hop will change if tables
   /// change; used around table mutations.
   [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops(
-      const TapestryNode& at) const;
+      const TapestryNode& at, const NodeLockTable* locks = nullptr) const;
   /// Re-push the affected records along the new paths (OPTIMIZEOBJECTPTRS).
   void reroute_changed_pointers(TapestryNode& at,
                                 const std::vector<PendingReroute>& before,
-                                Trace* trace);
+                                Trace* trace,
+                                const NodeLockTable* locks = nullptr);
   void optimize_pointer(TapestryNode& from, const Guid& guid,
-                        const PointerRecord& record, Trace* trace);
+                        const PointerRecord& record, Trace* trace,
+                        const NodeLockTable* locks = nullptr);
   /// `notifier` is the converge node that discovered the outdated branch:
   /// it originates the first delete message of the backward chain (§4.2).
   void delete_backward(const NodeId& notifier, const NodeId& start,
@@ -184,23 +201,9 @@ class ObjectDirectory {
       const TapestryNode& at, const Guid& guid,
       const PointerRecord& record) const;
 
-  // --- guarded pointer maintenance (§4.2 inside thread-parallel waves) ---
-  // Stripe-locked variants of the block above for repair waves that mutate
-  // routing tables from many threads: every table read happens under the
-  // owning node's stripe in `locks`, one guard at a time (the node_locks.h
-  // discipline), and pointer deposits rely on the store backend's own
-  // synchronisation (StoreBackend::kSharded when genuinely racing).
-  [[nodiscard]] std::vector<PendingReroute> snapshot_pointer_hops_guarded(
-      const TapestryNode& at, const NodeLockTable& locks) const;
-  void reroute_changed_pointers_guarded(
-      TapestryNode& at, const std::vector<PendingReroute>& before,
-      const NodeLockTable& locks, Trace* trace);
-  void optimize_pointer_guarded(TapestryNode& from, const Guid& guid,
-                                const PointerRecord& record,
-                                const NodeLockTable& locks, Trace* trace);
   /// Quiescent convergence pass after a threaded wave: re-pushes every
   /// record whose snapshot-time next hop no longer holds it (two waves'
-  /// guarded reroutes can interleave so a deposit lands after its holder's
+  /// locked reroutes can interleave so a deposit lands after its holder's
   /// snapshot was taken; serial execution cannot).  Iterates to a fixed
   /// point (bounded by the digit count) and returns the number of records
   /// re-pushed.  With this pass, threaded repair restores Property-4-style
@@ -225,10 +228,10 @@ class ObjectDirectory {
 
   // --- locate cache (hotspot.h) ---
   /// The per-node locate cache (disabled when params.locate_cache_size is
-  /// 0).  Both locate paths consult it at every node of the walk before
-  /// routing onward and repopulate it on success; every hit re-reads the
-  /// remembered holder's store before resolving, so cached and uncached
-  /// locates agree on found/not-found (see hotspot.h).
+  /// 0).  The locate step consults it at every node of the walk before
+  /// routing onward, under either driver, and repopulates it on success;
+  /// every hit re-reads the remembered holder's store before resolving, so
+  /// cached and uncached locates agree on found/not-found (see hotspot.h).
   [[nodiscard]] LocateCache& locate_cache() noexcept { return cache_; }
   [[nodiscard]] const LocateCache& locate_cache() const noexcept {
     return cache_;
@@ -258,44 +261,77 @@ class ObjectDirectory {
   }
 
  private:
-  struct AsyncLocateOp;
-  struct AsyncPublishOp;
-  void begin_locate_attempt(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_cache_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void locate_replica_step(const std::shared_ptr<AsyncLocateOp>& op);
-  void next_locate_attempt(const std::shared_ptr<AsyncLocateOp>& op);
-  void finish_locate(const std::shared_ptr<AsyncLocateOp>& op);
-  void begin_publish_path(const std::shared_ptr<AsyncPublishOp>& op);
-  void publish_step(const std::shared_ptr<AsyncPublishOp>& op);
+  struct PointerWalk;
+  struct AsyncPublish;
+  struct LocateOp;
+  struct AsyncLocate;
+
+  void check_guid(const Guid& guid) const;
+  void register_replica(const NodeId& server, const Guid& guid);
+
+  // Publish / unpublish (one salted path each).
+  [[nodiscard]] PointerWalk start_walk(TapestryNode& server,
+                                       const Guid& salted,
+                                       bool withdraw) const;
+  /// The publish step: w.cur applies the delivered record (deposit, or
+  /// withdrawal of rec.server's pointer) and forwards it one routing step,
+  /// with the §2.4 secondary copies; nullopt once the root applied it.
+  std::optional<double> deposit_hop(PointerWalk& w, Trace* trace);
+  /// Inline driver: one full walk per salted root name.
+  void walk_all_roots(TapestryNode& server, const Guid& guid, bool withdraw,
+                      Trace* trace);
+  void begin_publish_path(const std::shared_ptr<AsyncPublish>& op);
+  void schedule_deposit(const std::shared_ptr<AsyncPublish>& op,
+                        double delay);
+  /// Sends a pointer record (deposit, withdrawal or §4.2 optimize) from
+  /// `from`, stamped as last hop, to `to`; returns the delivered payload.
+  PointerRecord forward_pointer(MessageKind kind, const TapestryNode& from,
+                                const TapestryNode& to, const Guid& target,
+                                const NodeId& server, const RouteState& state,
+                                double expires, Trace* trace);
+
+  // Locate.
+  /// Draws the first root and opens attempt 0, charging `cost`.
+  LocateOp start_locate(TapestryNode& client, const Guid& guid, Trace* cost);
+  void begin_locate_attempt(LocateOp& op) const;
+  /// The locate step (§2.2, §2.4, Figure 10); nullopt once op.res is final.
+  std::optional<double> locate_step(LocateOp& op);
+  /// A pointer was found on `holder`: start the leg to its replica.
+  std::optional<double> resolve_at(LocateOp& op, TapestryNode& holder,
+                                   const PointerRecord& rec, const Guid& via);
+  /// Wires and books a payload-free locate message (jump, bounce, probe).
+  double send_locate_message(const LocateOp& op, const TapestryNode& from,
+                             const TapestryNode& to, std::size_t msgs = 1);
+  /// This root attempt missed: open the next one, or finish with a miss.
+  std::optional<double> end_locate_attempt(LocateOp& op);
+  std::optional<double> finish_locate(LocateOp& op);
+  void schedule_locate(const std::shared_ptr<AsyncLocate>& op, double delay);
+
   void schedule_republish_tick(double every, Trace* trace);
   void schedule_expiry_tick(double every);
 
-  void publish_one(TapestryNode& server, const Guid& salted, Trace* trace);
-  void unpublish_one(TapestryNode& server, const Guid& salted, Trace* trace);
-  /// One query attempt toward one (salted) root name.  `base` keys the
-  /// locate cache (nullptr skips caching, e.g. for internal probes).
-  LocateResult locate_attempt(TapestryNode& client, const Guid& target,
-                              Trace* trace, const Guid* base = nullptr);
   /// Deposits a locate-cache hint pointing at `holder` on every node the
   /// successful query walked through (paths toward a root converge, so
   /// hot objects get cached exactly where future queries will pass).
   void cache_fill_path(const Guid& base, const std::vector<NodeId>& path,
                        const Guid& via, const NodeId& holder,
                        const PointerRecord& rec);
+  /// §2.4: the other members of the slot `cur` routes through to `next`
+  /// (`live_only`: just the live, reachable ones).
+  std::vector<TapestryNode*> secondaries(const TapestryNode& cur,
+                                         unsigned slot_level,
+                                         const NodeId& next,
+                                         bool live_only) const;
   /// Picks the closest live replica among records; prunes dead-server
   /// records it trips over.  Returns nullopt when none is live.
   std::optional<PointerRecord> pick_live_replica(
       TapestryNode& holder, const Guid& target,
       const TapestryNode& relative_to);
 
-  /// Fire-and-forget wire delivery for messages whose payload carries no
-  /// fields the receiver continues from (probes, bounces, hop
-  /// notifications) — the kinds with onward-flowing payloads construct
-  /// and consume delivered Messages at their call sites instead.
-  void wire(MessageKind kind, const NodeId& src, const NodeId& dst,
-            const Id& target) {
-    (void)transport_->deliver(make_message(kind, src, dst, target));
+  /// Event delay of one message between two nodes.
+  [[nodiscard]] double hop_delay(const TapestryNode& a,
+                                 const TapestryNode& b) const {
+    return reg_.dist(a, b) * params_.hop_delay_scale;
   }
 
   NodeRegistry& reg_;

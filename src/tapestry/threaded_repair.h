@@ -29,9 +29,9 @@
 //
 // §4.2 pointer rerouting happens *incrementally inside the wave*: around
 // each holder's table mutations the holder's pointer hops are snapshotted
-// and re-pushed under the guarded directory variants
-// (ObjectDirectory::snapshot_pointer_hops_guarded /
-// reroute_changed_pointers_guarded), never deferred to the §6.5 republish
+// and re-pushed under the stripe-locked discipline
+// (ObjectDirectory::snapshot_pointer_hops / reroute_changed_pointers given
+// the NodeLockTable), never deferred to the §6.5 republish
 // backstop.  Two racing reroutes can strand a record that lands on a
 // holder after that holder's snapshot was taken (impossible serially); the
 // quiescent ObjectDirectory::repair_pointer_chains pass at the end of

@@ -1,10 +1,16 @@
 // Seam tests for the layered subsystems behind the Network facade:
-// Router's pure peek vs the mutating repair walk, and NodeRegistry's
-// liveness/index bookkeeping across join, leave and fail.
+// Router's pure peek vs the mutating repair walk, NodeRegistry's
+// liveness/index bookkeeping across join, leave and fail, and the two
+// drivers (inline and event) of ObjectDirectory's publish/locate steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <unordered_set>
+#include <vector>
 
 #include "tests/test_util.h"
 
@@ -163,6 +169,144 @@ TEST(FacadeSeam, SubsystemsShareStateWithFacade) {
   g.net->directory().unpublish(g.ids[0], guid);
   EXPECT_TRUE(g.net->servers_of(guid).empty());
 }
+
+// ---------------------------------------------------------------------
+// Directory drivers: inline vs event-driven runs of the same steps
+// ---------------------------------------------------------------------
+
+struct DriverConfig {
+  const char* name;
+  std::size_t cache = 0;       ///< locate_cache_size
+  bool secondary = false;      ///< PRR routing + §2.4 secondary search
+  unsigned roots = 1;          ///< root_multiplicity, with retry_all_roots
+  bool replicated = false;     ///< quorum-replicated store backend
+  bool kill_roots = false;     ///< fail every non-server root after publish
+  bool kill_mid_run = false;   ///< fail non-servers halfway through queries
+};
+
+std::array<std::uint64_t, kWireKindCount> kind_counts(const Network& net) {
+  std::array<std::uint64_t, kWireKindCount> out{};
+  for (std::size_t k = 0; k < kWireKindCount; ++k)
+    out[k] = net.transport().stats().kind_count(static_cast<MessageKind>(k));
+  return out;
+}
+
+/// Every live node's records, all fields but the soft-state deadline (the
+/// event driver stamps each salted path when that path starts).
+using RecordKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                             std::uint64_t, unsigned, bool>;
+std::vector<RecordKey> store_records(const Network& net) {
+  std::vector<RecordKey> out;
+  for (const auto& n : net.registry().nodes()) {
+    if (!n->alive) continue;
+    for (const auto& [guid, rec] : n->store().snapshot())
+      out.emplace_back(n->id().value(), guid.value(), rec.server.value(),
+                       rec.last_hop.has_value() ? rec.last_hop->value() + 1
+                                                : 0,
+                       rec.level, rec.past_hole);
+  }
+  return out;
+}
+
+class DirectoryDrivers : public ::testing::TestWithParam<DriverConfig> {};
+
+// On the same seed, locate and a drained locate_async must return the same
+// LocateResult field for field and send the same messages of every kind;
+// publish and a drained publish_async must leave the same records.  The
+// kills run identically on both networks between operations.
+TEST_P(DirectoryDrivers, InlineAndEventDriversAgree) {
+  const DriverConfig& c = GetParam();
+  TapestryParams p = small_params(c.secondary ? RoutingMode::kPrrLike
+                                              : RoutingMode::kTapestryNative);
+  p.locate_cache_size = c.cache;
+  p.prr_secondary_search = c.secondary;
+  p.root_multiplicity = c.roots;
+  p.retry_all_roots = c.roots > 1;
+  if (c.replicated) p.store_backend = StoreBackend::kReplicated;
+  auto inl = static_ring_network(256, 31, p);
+  auto evt = static_ring_network(256, 31, p);
+  ASSERT_EQ(inl.ids, evt.ids);
+  // Keeps the two clocks equal: only the event driver advances its own.
+  auto sync_clocks = [&] {
+    evt.net->events().run();
+    inl.net->events().run_until(evt.net->now());
+  };
+
+  Rng wl(17);
+  std::vector<Guid> guids;
+  std::unordered_set<std::uint64_t> servers;
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    const Guid guid = make_guid(*inl.net, 900 + i);
+    const NodeId server = inl.ids[wl.next_u64(inl.ids.size())];
+    guids.push_back(guid);
+    servers.insert(server.value());
+    inl.net->publish(server, guid);
+    evt.net->publish_async(server, guid);
+    sync_clocks();
+  }
+  EXPECT_EQ(store_records(*inl.net), store_records(*evt.net));
+  EXPECT_EQ(kind_counts(*inl.net), kind_counts(*evt.net));
+
+  auto fail_both = [&](const NodeId& v) {
+    if (servers.count(v.value()) != 0 || !inl.net->contains(v)) return;
+    inl.net->fail(v);
+    evt.net->fail(v);
+  };
+  if (c.kill_roots) {
+    for (const Guid& g : guids)
+      for (unsigned salt = 0; salt < c.roots; ++salt)
+        fail_both(inl.net->router().surrogate_root(salted_guid(g, salt)));
+  }
+
+  Rng qr(23);
+  const int queries = 600;
+  std::size_t found = 0;
+  for (int q = 0; q < queries; ++q) {
+    if (c.kill_mid_run && q == queries / 2) {
+      for (int k = 0; k < 24; ++k)
+        fail_both(inl.ids[qr.next_u64(inl.ids.size())]);
+    }
+    const std::vector<NodeId> live = inl.net->node_ids();
+    const NodeId client = live[qr.next_u64(live.size())];
+    const Guid guid = guids[qr.next_u64(guids.size())];
+    const LocateResult a = inl.net->locate(client, guid);
+    std::optional<LocateResult> b;
+    evt.net->locate_async(client, guid,
+                          [&b](const LocateResult& r) { b = r; });
+    sync_clocks();
+    ASSERT_TRUE(b.has_value());
+    SCOPED_TRACE("query " + std::to_string(q));
+    EXPECT_EQ(a.found, b->found);
+    EXPECT_EQ(a.server, b->server);
+    EXPECT_EQ(a.pointer_node, b->pointer_node);
+    EXPECT_EQ(a.hops, b->hops);
+    EXPECT_EQ(a.latency, b->latency);
+    found += a.found ? 1 : 0;
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_EQ(kind_counts(*inl.net), kind_counts(*evt.net));
+  EXPECT_EQ(store_records(*inl.net), store_records(*evt.net));
+  EXPECT_EQ(inl.net->directory().locate_cache().stats().hits,
+            evt.net->directory().locate_cache().stats().hits);
+  EXPECT_EQ(inl.net->directory().locate_cache().stats().fallbacks,
+            evt.net->directory().locate_cache().stats().fallbacks);
+  if (c.cache > 0) {
+    EXPECT_GT(inl.net->directory().locate_cache().stats().hits, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, DirectoryDrivers,
+    ::testing::Values(
+        DriverConfig{"plain"}, DriverConfig{"cache", 64},
+        DriverConfig{"secondary", 0, true},
+        DriverConfig{"roots3_retry", 0, false, 3},
+        DriverConfig{"replicated_roots_killed", 0, false, 1, true, true},
+        DriverConfig{"cache_mid_run_kills", 64, false, 1, false, false,
+                     true}),
+    [](const ::testing::TestParamInfo<DriverConfig>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace tap

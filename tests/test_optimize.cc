@@ -2,9 +2,12 @@
 // the continual-optimization heuristics (§6.4).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "src/common/stats.h"
+#include "src/tapestry/fingerprint.h"
 #include "test_util.h"
 
 namespace tap {
@@ -155,6 +158,69 @@ TEST(PointerMaintenance, UnpublishThenExpireLeavesNoGarbage) {
   g.net->events().run_until(25.0);
   g.net->expire_pointers();
   EXPECT_EQ(g.net->total_object_pointers(), 0u);
+}
+
+// The stripe-locked discipline of a threaded repair wave and the serial
+// one run the same §4.2 walk: on a quiescent, all-live mesh a table change
+// must reroute to the same stores with the same messages either way.
+TEST(PointerMaintenance, LockedAndUnlockedReroutesAgreeOnQuiescentMesh) {
+  auto locked = grow_ring_network(96, 108);
+  auto plain = grow_ring_network(96, 108);
+  ASSERT_EQ(locked.ids, plain.ids);
+  Rng rng(9);
+  for (int i = 0; i < 24; ++i) {
+    const Guid guid = make_guid(*plain.net, 400 + i);
+    const NodeId server = plain.ids[rng.next_u64(plain.ids.size())];
+    locked.net->publish(server, guid);
+    plain.net->publish(server, guid);
+  }
+  ASSERT_EQ(fingerprint_stores(*locked.net), fingerprint_stores(*plain.net));
+  auto count = [](const Network& net, MessageKind k) {
+    return net.transport().stats().kind_count(k);
+  };
+  const auto opt0 = count(*plain.net, MessageKind::kPointerOptimize);
+  const auto del0 = count(*plain.net, MessageKind::kDeleteBackward);
+  ASSERT_EQ(opt0, count(*locked.net, MessageKind::kPointerOptimize));
+
+  // Table change at each pointer holder: drop the next hop of its first
+  // record from a slot whose other members keep the slot filled, so the
+  // record's path moves to a secondary.
+  const NodeLockTable& locks = locked.net->registry().node_locks();
+  std::size_t changed = 0;
+  for (const NodeId& id : plain.ids) {
+    TapestryNode& pn = plain.net->node(id);
+    TapestryNode& ln = locked.net->node(id);
+    const auto records = pn.store().snapshot();
+    if (records.empty()) continue;
+    const auto& [guid, rec] = records.front();
+    const auto hop = plain.net->directory().pointer_next_hop(pn, guid, rec);
+    if (!hop.has_value()) continue;
+    std::optional<std::pair<unsigned, unsigned>> slot;
+    for (unsigned l = rec.level; l < plain.net->params().id.num_digits; ++l) {
+      const auto& set = pn.table().at(l, hop->digit(l));
+      if (set.primary() == hop && set.entries().size() >= 2) {
+        slot.emplace(l, hop->digit(l));
+        break;
+      }
+    }
+    if (!slot.has_value()) continue;
+    const auto before_p = plain.net->directory().snapshot_pointer_hops(pn);
+    const auto before_l =
+        locked.net->directory().snapshot_pointer_hops(ln, &locks);
+    pn.table().remove(slot->first, slot->second, *hop);
+    ln.table().remove(slot->first, slot->second, *hop);
+    plain.net->directory().reroute_changed_pointers(pn, before_p, nullptr);
+    locked.net->directory().reroute_changed_pointers(ln, before_l, nullptr,
+                                                     &locks);
+    ++changed;
+  }
+  ASSERT_GT(changed, 0u);
+  EXPECT_EQ(fingerprint_stores(*locked.net), fingerprint_stores(*plain.net));
+  EXPECT_GT(count(*plain.net, MessageKind::kPointerOptimize), opt0);
+  EXPECT_EQ(count(*locked.net, MessageKind::kPointerOptimize),
+            count(*plain.net, MessageKind::kPointerOptimize));
+  EXPECT_EQ(count(*locked.net, MessageKind::kDeleteBackward) - del0,
+            count(*plain.net, MessageKind::kDeleteBackward) - del0);
 }
 
 }  // namespace

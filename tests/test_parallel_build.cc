@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "src/sim/thread_pool.h"
 #include "src/tapestry/fingerprint.h"
+#include "src/tapestry/replicated_store.h"
 #include "test_util.h"
 
 namespace tap {
@@ -28,11 +30,12 @@ struct BulkNetwork {
 };
 
 BulkNetwork bulk_ring_network(std::size_t n, std::uint64_t seed,
-                              std::size_t workers) {
+                              std::size_t workers,
+                              TapestryParams params = small_params()) {
   BulkNetwork b;
   Rng rng(seed);
   b.space = std::make_unique<RingMetric>(n + 64, rng);
-  b.net = std::make_unique<Network>(*b.space, small_params(), seed ^ 0xabcdef);
+  b.net = std::make_unique<Network>(*b.space, params, seed ^ 0xabcdef);
   std::vector<Location> locs(n);
   for (std::size_t i = 0; i < n; ++i) locs[i] = i;
   b.ids = b.net->insert_static_bulk(locs, workers);
@@ -113,6 +116,62 @@ TEST(ParallelBuild, PublishBatchMatchesSerialPublish) {
     EXPECT_TRUE(
         b.net->locate(b.ids[qr.next_u64(b.ids.size())], r.guid).found);
   }
+}
+
+// On the replicated backend publish() mirrors every root deposit across the
+// root's holder set; publish_batch must write the same mirrors, or a root
+// that dies before the first republish takes its objects with it.
+TEST(ParallelBuild, PublishBatchWritesQuorumMirrorsLikeSerialPublish) {
+  TapestryParams p = small_params();
+  p.store_backend = StoreBackend::kReplicated;
+  const std::size_t n = 256, objects = 64;
+  auto a = bulk_ring_network(n, 41, 2, p);
+  auto b = bulk_ring_network(n, 41, 4, p);
+  ASSERT_EQ(a.ids, b.ids);
+
+  std::vector<ObjectDirectory::PublishRequest> batch;
+  std::unordered_set<std::uint64_t> servers;
+  Rng wl(8);
+  for (std::size_t i = 0; i < objects; ++i) {
+    batch.push_back({a.ids[wl.next_u64(a.ids.size())], make_guid(*a.net, i)});
+    servers.insert(batch.back().server.value());
+  }
+  Trace serial_trace, batch_trace;
+  for (const auto& r : batch) a.net->publish(r.server, r.guid, &serial_trace);
+  b.net->publish_batch(batch, 4, &batch_trace);
+
+  QuorumReplicator* ra = a.net->directory().replicator();
+  QuorumReplicator* rb = b.net->directory().replicator();
+  ASSERT_NE(ra, nullptr);
+  ASSERT_NE(rb, nullptr);
+  EXPECT_GT(ra->stats().replica_writes, 0u);
+  EXPECT_EQ(ra->stats().replica_writes, rb->stats().replica_writes);
+  EXPECT_EQ(serial_trace.messages(), batch_trace.messages());
+  EXPECT_EQ(fingerprint_stores(*a.net), fingerprint_stores(*b.net));
+  for (const auto& r : batch) {
+    const auto* ha = ra->holders(r.guid);
+    const auto* hb = rb->holders(r.guid);
+    ASSERT_NE(ha, nullptr);
+    ASSERT_NE(hb, nullptr);
+    EXPECT_EQ(*ha, *hb);
+  }
+
+  // Kill every root that is not itself a server: the quorum read at the
+  // new surrogate roots must still find every object on both networks.
+  for (const auto& r : batch) {
+    const NodeId root = a.net->router().surrogate_root(r.guid);
+    if (servers.count(root.value()) != 0 || !a.net->contains(root)) continue;
+    a.net->fail(root);
+    b.net->fail(root);
+  }
+  std::size_t found_a = 0, found_b = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const NodeId client = a.net->node_ids()[i % a.net->size()];
+    found_a += a.net->locate(client, batch[i].guid).found ? 1 : 0;
+    found_b += b.net->locate(client, batch[i].guid).found ? 1 : 0;
+  }
+  EXPECT_EQ(found_a, objects);
+  EXPECT_EQ(found_b, objects);
 }
 
 TEST(ParallelBuild, PublishBatchDeterministicAcrossWorkers) {
